@@ -22,6 +22,7 @@ from .currents import (
     CONVENTION_NOTE,
     TorsionPoint,
     eisenstein_value,
+    g_grade,
     g_total,
 )
 from .errors import ConfigError, PolylatError
@@ -298,7 +299,7 @@ def cmd_current_scan(args):
     writer.writerow([f"u{i + 1}" for i in range(rank)] + ["component", "value_re", "value_im"])
     for idx in np.ndindex(*([n] * rank)):
         u = tuple((i + 0.5) / n for i in idx)
-        cv = g_total(cfg.data, u, args.grade, tol=cfg.tol(args.tol), threads=args.threads)[args.grade]
+        cv = g_grade(cfg.data, u, args.grade, tol=cfg.tol(args.tol), threads=args.threads)
         for (word, ext), v in sorted(cv.components.items()):
             writer.writerow(
                 [f"{x:.12g}" for x in u]

@@ -26,7 +26,6 @@ rationals where a matrix entry is expected.
 from dataclasses import dataclass, field
 from fractions import Fraction
 import json
-import math
 import os
 
 from .errors import ConfigError, ConfigNotFound
@@ -140,8 +139,3 @@ def _as_number(x):
     if isinstance(x, (int, float)):
         return float(x)
     raise ConfigError(f"numeric entry expected, got {x!r}")
-
-
-def scaled_pi_q(rank):
-    """Convenience: the rank-1 Jacobi form Q(n) = pi n^2 and friends."""
-    return [[math.pi if i == j else 0.0 for j in range(rank)] for i in range(rank)]

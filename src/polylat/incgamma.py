@@ -12,7 +12,6 @@ integer).
 import cmath
 import math
 
-import numpy as np
 from scipy import special
 
 _MAX_ITER = 600
@@ -112,9 +111,3 @@ def upper_gamma_bound(p, x):
     if x >= 2.0 * (p - 1.0):
         return 2.0 * x ** (p - 1.0) * math.exp(-x)
     return float(special.gamma(p)) + x ** (p - 1.0) * math.exp(-x)
-
-
-def upper_gamma_many(a, xs):
-    """Vectorized Gamma(a, x) over an array of positive x (same complex a)."""
-    xs = np.asarray(xs, dtype=float)
-    return np.array([upper_gamma(a, float(x)) for x in xs.ravel()]).reshape(xs.shape)

@@ -146,17 +146,8 @@ class GaussPolyFactor:
             out.setdefault(m, []).append((alpha, vec))
         return dict(sorted(out.items()))
 
-    def poly_coeff_l1(self):
-        if not self.poly:
-            return 0.0
-        return float(sum(np.max(np.abs(v)) for v in self.poly.values()))
-
     def poly_degree(self):
         return max((sum(alpha) for (alpha, _m) in self.poly), default=0)
-
-    def max_tpower(self):
-        return max((m for (_a, m) in self.poly), default=0)
-
 
 def _check_spd(q):
     q = np.asarray(q, dtype=float)

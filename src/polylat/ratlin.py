@@ -50,10 +50,6 @@ def mat_neg(a):
     return [[-x for x in row] for row in a]
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def det(a):
     """Determinant by fraction-free-ish Gaussian elimination (exact)."""
     n = len(a)

@@ -1,4 +1,5 @@
-"""Shared summation machinery: compensated accumulation and tail bounds."""
+"""Shared summation machinery: the certified shell-summation driver,
+compensated accumulation and tail bounds."""
 
 from concurrent.futures import ThreadPoolExecutor
 import math
@@ -6,6 +7,7 @@ import os
 
 import numpy as np
 
+from .errors import BudgetExceeded
 from .lattice import shell_point_count
 
 
@@ -49,6 +51,32 @@ def map_shells(fn, ks, threads=1):
         return [fn(k) for k in ks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, ks))
+
+
+def certified_sum(partial, tail, tol, dim, *, what, shell_cap, start=0, k_cert=0, threads=None):
+    """Sum shells k = start, start+1, ... until a tail bound certifies tol.
+
+    partial(k) is the summed contribution of sup-norm shell k (a vector of
+    length dim) and tail(k) a rigorous bound on everything beyond shell k;
+    the bound is tested only once k >= k_cert (where it becomes valid).
+    Shells are dispatched in batches of the thread count and accumulated
+    in fixed shell order.  Returns (value, tail, shells_used), shells_used
+    being the first shell index not summed.
+    """
+    nthreads = thread_count(threads)
+    acc = CompensatedSum(dim)
+    k = start
+    while k <= shell_cap:
+        batch = list(range(k, min(k + nthreads, shell_cap + 1)))
+        for part in map_shells(partial, batch, nthreads):
+            acc.add(part)
+        k = batch[-1] + 1
+        if k - 1 < k_cert:
+            continue
+        bound = tail(k - 1)
+        if bound <= tol:
+            return acc.value, float(bound), k
+    raise BudgetExceeded(f"{what}: no certified tail <= {tol} within {shell_cap} shells")
 
 
 def _sum_decaying_terms(term, k_start, ratio_cap=0.5, max_k=100000):

@@ -12,6 +12,7 @@ from fractions import Fraction
 import itertools
 import math
 
+from . import ratlin
 from .errors import DimensionOverflow
 
 DIM_CAP = 4000
@@ -231,10 +232,12 @@ def psi_n_matrix(m, n):
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1, n >= 0")
-    source = [a for a in _monomials_upto(m, n)]
+    # both bases have C(m+n, n) elements; check before enumerating them
+    dim = math.comb(m + n, n)
+    if dim > DIM_CAP:
+        raise DimensionOverflow(f"dimensions {dim}x{dim} above cap")
+    source = _monomials_upto(m, n)
     target = sym_words(m + 1, n)
-    if len(source) > DIM_CAP or len(target) > DIM_CAP:
-        raise DimensionOverflow(f"dimensions {len(source)}x{len(target)} above cap")
     tindex = {w: i for i, w in enumerate(target)}
     cols = []
     for alpha in source:
@@ -246,14 +249,8 @@ def psi_n_matrix(m, n):
                 col[tindex[w]] += coef * c
         cols.append(col)
     matrix = [[cols[j][i] for j in range(len(source))] for i in range(len(target))]
-    bijective = len(source) == len(target) and ratlin_rank(matrix) == len(source)
+    bijective = len(source) == len(target) and ratlin.rank(matrix) == len(source)
     return matrix, source, target, bijective
-
-
-def ratlin_rank(matrix):
-    from . import ratlin
-
-    return ratlin.rank(matrix)
 
 
 def _monomials_upto(m, n):

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import BudgetExceeded
 from .lattice import SumLattice, box_shell, enumerate_shell
 from .polygauss import VectorPolynomial, gaussian_ft
-from .sums import CompensatedSum, gaussian_tail, map_shells, thread_count
+from .sums import CompensatedSum, certified_sum, gaussian_tail
 
 DEFAULT_SHELL_CAP = 220
 
@@ -45,18 +45,23 @@ class ThetaResult:
         return complex(self.value[0])
 
 
+def _direct_tail(frame, P, t):
+    """Gaussian tail bound beyond shell k of the direct theta sum."""
+    coeff = P.coeff_l1()
+    growth = frame.basis_norm * math.sqrt(frame.rank)
+    return lambda k: gaussian_tail(
+        k, rank=frame.rank, sigma=frame.sigma_min, decay=t, coeff=coeff, deg=P.degree, growth=growth
+    )
+
+
 def theta_direct(frame, P, u, t, tol=1e-12, shell_cap=DEFAULT_SHELL_CAP, threads=None):
     """Shell-by-shell direct summation with a rigorous Gaussian tail bound."""
     if t <= 0 or tol <= 0:
         raise ValueError("t and tol must be positive")
     h = frame.reduce_point(u)
     phase = frame.phase_data(u)
-    nthreads = thread_count(threads)
-    acc = CompensatedSum(P.target_dim)
-    coeff = P.coeff_l1()
-    growth = frame.basis_norm * math.sqrt(frame.rank)
 
-    def shell_partial(k):
+    def partial(k):
         ms = box_shell(frame.rank, k)
         pts = frame.points(ms)
         chi = (
@@ -65,38 +70,24 @@ def theta_direct(frame, P, u, t, tol=1e-12, shell_cap=DEFAULT_SHELL_CAP, threads
             else frame.char_values_exact(ms, *phase)
         )
         weights = chi * np.exp(-t * frame.q_values(ms))
-        return P.evaluate_many(pts) * weights[:, None]
+        return (P.evaluate_many(pts) * weights[:, None]).sum(axis=0)
 
-    k = 0
-    while k <= shell_cap:
-        batch = list(range(k, min(k + max(nthreads, 1), shell_cap + 1)))
-        partials = map_shells(lambda kk: shell_partial(kk).sum(axis=0), batch, nthreads)
-        for part in partials:
-            acc.add(part)
-        k = batch[-1] + 1
-        tail = gaussian_tail(
-            k - 1,
-            rank=frame.rank,
-            sigma=frame.sigma_min,
-            decay=t,
-            coeff=coeff,
-            deg=P.degree,
-            growth=growth,
-        )
-        if tail <= tol:
-            return ThetaResult(value=acc.value, tail_bound=tail, shells_used=k, mode="direct")
-    raise BudgetExceeded(f"direct theta: no certified tail <= {tol} within {shell_cap} shells")
+    value, bound, shells = certified_sum(
+        partial, _direct_tail(frame, P, t), tol, P.target_dim,
+        what="direct theta", shell_cap=shell_cap, threads=threads,
+    )
+    return ThetaResult(value=value, tail_bound=bound, shells_used=shells, mode="direct")
 
 
-def theta_transformed(frame, P, u, t, tol=1e-12, shell_cap=DEFAULT_SHELL_CAP, threads=None):
-    """Evaluate the Poisson-transformed side of the theta sum."""
-    if t <= 0 or tol <= 0:
-        raise ValueError("t and tol must be positive")
-    h = frame.reduce_point(u)
+def _transformed_side(frame, P, h, t):
+    """Poisson-transformed side at reduced shift h.
+
+    Returns (prefactor, dual frame, gf, partial, tail): partial(k) sums
+    the transform over dual shell k without the prefactor, tail(k) bounds
+    the prefactor-scaled remainder beyond shell k.
+    """
     gf = gaussian_ft(P, frame.q_mat, h=h, pairing=frame.pairing, vol_scale=frame.vol_scale)
     dual = frame.dual_frame()
-    nthreads = thread_count(threads)
-    acc = CompensatedSum(P.target_dim)
     prefactor = gf.disc_factor * t**gf.prefactor_exponent
     decay = math.pi**2 / t
     qd_sigma = float(np.linalg.eigvalsh(gf.dual_form)[0]) - 1e-12
@@ -108,21 +99,16 @@ def theta_transformed(frame, P, u, t, tol=1e-12, shell_cap=DEFAULT_SHELL_CAP, th
     deg = gf.poly_degree()
     growth = dual.basis_norm * math.sqrt(dual.rank)
 
-    def shell_partial(k):
+    def partial(k):
         ms = box_shell(dual.rank, k)
         ws = dual.points(ms) + h
         qd = np.einsum("ij,jk,ik->i", ws, gf.dual_form, ws)
         vals = gf.poly_eval_many(ws, t) * np.exp(-decay * qd)[:, None]
         return vals.sum(axis=0)
 
-    k = 0
-    while k <= shell_cap:
-        batch = list(range(k, min(k + max(nthreads, 1), shell_cap + 1)))
-        for part in map_shells(shell_partial, batch, nthreads):
-            acc.add(part)
-        k = batch[-1] + 1
-        tail = prefactor * gaussian_tail(
-            k - 1,
+    def tail(k):
+        return prefactor * gaussian_tail(
+            k,
             rank=dual.rank,
             sigma=qd_sigma * dual.basis_smin**2,
             decay=decay,
@@ -132,10 +118,20 @@ def theta_transformed(frame, P, u, t, tol=1e-12, shell_cap=DEFAULT_SHELL_CAP, th
             rho_shift=h_norm / dual.basis_smin,
             amp_shift=h_norm,
         )
-        if tail <= tol:
-            value = prefactor * acc.value
-            return ThetaResult(value=value, tail_bound=float(tail), shells_used=k, mode="transformed")
-    raise BudgetExceeded(f"transformed theta: no certified tail <= {tol} within {shell_cap} shells")
+
+    return prefactor, dual, gf, partial, tail
+
+
+def theta_transformed(frame, P, u, t, tol=1e-12, shell_cap=DEFAULT_SHELL_CAP, threads=None):
+    """Evaluate the Poisson-transformed side of the theta sum."""
+    if t <= 0 or tol <= 0:
+        raise ValueError("t and tol must be positive")
+    prefactor, _dual, _gf, partial, tail = _transformed_side(frame, P, frame.reduce_point(u), t)
+    value, bound, shells = certified_sum(
+        partial, tail, tol, P.target_dim,
+        what="transformed theta", shell_cap=shell_cap, threads=threads,
+    )
+    return ThetaResult(value=prefactor * value, tail_bound=bound, shells_used=shells, mode="transformed")
 
 
 def theta_eval(frame, P, u, t, tol=1e-12, mode="auto", threads=None):
@@ -166,48 +162,20 @@ def poisson_check(data, P, t, h, r_direct, r_dual, tail_req=1e-12):
     weights = frame.char_values(ms, h) * np.exp(-t * frame.q_values(ms))
     lhs = (P.evaluate_many(pts) * weights[:, None]).sum(axis=0) + P.value_at_zero()
     k_direct = int(math.floor(math.sqrt(r_direct / (frame.sigma_max * frame.rank))))
-    tail_direct = gaussian_tail(
-        k_direct,
-        rank=frame.rank,
-        sigma=frame.sigma_min,
-        decay=t,
-        coeff=P.coeff_l1(),
-        deg=P.degree,
-        growth=frame.basis_norm * math.sqrt(frame.rank),
-    )
-    # transformed side
-    gf = gaussian_ft(P, frame.q_mat, h=h, pairing=frame.pairing, vol_scale=frame.vol_scale)
-    dual = frame.dual_frame()
-    prefactor = gf.disc_factor * t**gf.prefactor_exponent
-    decay = math.pi**2 / t
-    dual_gram = dual.basis.T @ gf.dual_form @ dual.basis
+    tail_direct = _direct_tail(frame, P, t)(k_direct)
+    # transformed side, summed out to the fixed dual radius r_dual
+    prefactor, dual, gf, partial, tail = _transformed_side(frame, P, h, t)
+    gram_min = float(np.linalg.eigvalsh(dual.basis.T @ gf.dual_form @ dual.basis)[0])
     k_dual = 0
     rhs_acc = CompensatedSum(P.target_dim)
     while True:
-        ms = box_shell(dual.rank, k_dual)
-        ws = dual.points(ms) + h
-        qd = np.einsum("ij,jk,ik->i", ws, gf.dual_form, ws)
-        rhs_acc.add((gf.poly_eval_many(ws, t) * np.exp(-decay * qd)[:, None]).sum(axis=0))
-        if k_dual * k_dual * float(np.linalg.eigvalsh(dual_gram)[0]) > r_dual:
+        rhs_acc.add(partial(k_dual))
+        if k_dual * k_dual * gram_min > r_dual:
             break
         k_dual += 1
         if k_dual > DEFAULT_SHELL_CAP:
             raise BudgetExceeded("poisson_check: dual radius too large")
-    qd_sigma = float(np.linalg.eigvalsh(gf.dual_form)[0]) - 1e-12
-    coeff = float(
-        sum(np.max(np.abs(v)) * t ** (-m) for (_a, m), v in gf.poly.items())
-    ) if gf.poly else 0.0
-    tail_dual = prefactor * gaussian_tail(
-        k_dual,
-        rank=dual.rank,
-        sigma=qd_sigma * dual.basis_smin**2,
-        decay=decay,
-        coeff=coeff,
-        deg=gf.poly_degree(),
-        growth=dual.basis_norm * math.sqrt(dual.rank),
-        rho_shift=float(np.linalg.norm(h)) / dual.basis_smin,
-        amp_shift=float(np.linalg.norm(h)),
-    )
+    tail_dual = tail(k_dual)
     if tail_direct > tail_req or tail_dual > tail_req:
         raise BudgetExceeded(
             f"poisson_check: tails {tail_direct:.2e}/{tail_dual:.2e} above {tail_req}"

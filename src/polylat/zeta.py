@@ -27,7 +27,7 @@ from .errors import (
 from .incgamma import upper_gamma
 from .lattice import SNAP_TOL, box_shell
 from .polygauss import gaussian_ft
-from .sums import CompensatedSum, gaussian_tail, map_shells, power_tail, thread_count
+from .sums import certified_sum, gaussian_tail, power_tail
 
 DEFAULT_SHELL_CAP = 400
 _POLE_TOL = 1e-12
@@ -60,14 +60,11 @@ def kzeta_direct(frame, P, u, s, tol=1e-10, shell_cap=DEFAULT_SHELL_CAP, threads
     constant_p = P.degree == 0 and not P.is_zero()
     if frame.rank == 2 and constant_p and s.imag == 0.0 and not np.any(h != 0.0):
         return _direct_ball_rank2(frame, P, s.real, tol)
-    acc = CompensatedSum(P.target_dim)
     coeff = P.coeff_l1()
     growth = frame.basis_norm * math.sqrt(frame.rank)
-    nthreads = thread_count(threads)
-
     phase = frame.phase_data(u)
 
-    def shell_partial(k):
+    def partial(k):
         ms = box_shell(frame.rank, k)
         q = frame.q_values(ms)
         chi = (
@@ -78,24 +75,19 @@ def kzeta_direct(frame, P, u, s, tol=1e-10, shell_cap=DEFAULT_SHELL_CAP, threads
         weights = chi * np.exp(-s * np.log(q))
         return (P.evaluate_many(frame.points(ms)) * weights[:, None]).sum(axis=0)
 
-    k = 1
-    while k <= shell_cap:
-        batch = list(range(k, min(k + max(nthreads, 1), shell_cap + 1)))
-        for part in map_shells(shell_partial, batch, nthreads):
-            acc.add(part)
-        k = batch[-1] + 1
-        tail = power_tail(
-            k - 1,
-            rank=frame.rank,
-            sigma=frame.sigma_min,
-            s_re=s.real,
-            coeff=coeff,
-            deg=P.degree,
-            growth=growth,
+    def tail(k):
+        return power_tail(
+            k, rank=frame.rank, sigma=frame.sigma_min, s_re=s.real, coeff=coeff, deg=P.degree, growth=growth
         )
-        if tail <= tol:
-            return ZetaValue(value=acc.value, s=s, regime="direct", error_bound=float(tail))
-    raise BudgetExceeded(f"direct zeta: tail above {tol} after {shell_cap} shells")
+
+    what = "direct zeta"
+    # the closed-form tail decreases in k: if it misses tol at the cap, no shell count can succeed
+    if shell_cap < 1 or tail(shell_cap) > tol:
+        raise BudgetExceeded(f"{what}: no certified tail <= {tol} within {shell_cap} shells")
+    value, bound, _shells = certified_sum(
+        partial, tail, tol, P.target_dim, what=what, shell_cap=shell_cap, start=1, threads=threads
+    )
+    return ZetaValue(value=value, s=s, regime="direct", error_bound=bound)
 
 
 def _ball_tail_scalar(frame, s_re, radius):
@@ -172,12 +164,31 @@ def kzeta_accelerated(
     """Analytic continuation by the split-Mellin / incomplete-gamma assembly."""
     s = complex(s)
     A = float(split_a)
-    if A <= 0 or tol <= 0:
+    total, tail = _gamma_k(frame, P, u, s, A, tol / 4, shell_cap, threads)
+    rg = complex(special.rgamma(s))
+    return ZetaValue(
+        value=total * rg, s=s, regime="accelerated", error_bound=float(tail * abs(rg)), split_a=A
+    )
+
+
+def kzeta_gamma_product(frame, P, u, s, split_a=1.0, tol=1e-10, threads=None):
+    """The assembled Gamma(s) * K(s) before dividing by Gamma.
+
+    For u outside the base lattice every piece is entire in s, which the
+    suite checks through a Cauchy-integral reconstruction on a small circle.
+    """
+    return _gamma_k(frame, P, u, complex(s), float(split_a), tol / 2, DEFAULT_SHELL_CAP, threads)[0]
+
+
+def _gamma_k(frame, P, u, s, A, piece_tol, shell_cap, threads):
+    """Gamma(s) K(s) by the split at A; returns (total, certified tail).
+
+    Each of the two lattice pieces is certified to piece_tol.
+    """
+    if A <= 0 or piece_tol <= 0:
         raise ValueError("split point and tol must be positive")
     h = frame.reduce_point(u)
-    u_in_lattice = frame.in_base_lattice(u)
-    r = frame.rank
-    half = r / 2.0
+    half = frame.rank / 2.0
 
     p0 = P.value_at_zero()
     if np.any(p0 != 0) and abs(s) < _POLE_TOL:
@@ -189,7 +200,7 @@ def kzeta_accelerated(
 
     # dual-side zero term: only the constant-in-w monomials contribute at w=0
     zero_term = np.zeros(P.target_dim, dtype=complex)
-    if u_in_lattice:
+    if frame.in_base_lattice(u):
         for m, monos in by_tpow.items():
             c0 = sum((vec for alpha, vec in monos if sum(alpha) == 0), np.zeros(P.target_dim, dtype=complex))
             if np.any(c0 != 0):
@@ -200,40 +211,26 @@ def kzeta_accelerated(
                     )
                 zero_term = zero_term + c0 * A**denom / denom
 
-    piece_i = _gamma_weighted_direct(
-        frame, P, h, s, A, tol / 4, shell_cap, threads, phase=frame.phase_data(u)
+    sum_i, tail_i, _ = _gamma_weighted_direct(
+        frame, P, h, s, A, piece_tol, shell_cap, threads, phase=frame.phase_data(u)
     )
-    piece_ii = _gamma_weighted_dual(
-        frame, gf, by_tpow, rhos, h, s, A, tol / 4, shell_cap, threads, skip_zero=True
-    )
+    sum_ii, tail_ii, _ = _gamma_weighted_dual(frame, gf, by_tpow, rhos, h, A, piece_tol, shell_cap, threads)
 
-    total = piece_i.sum + gf.disc_factor * (piece_ii.sum + zero_term)
+    total = sum_i + gf.disc_factor * (sum_ii + zero_term)
     if np.any(p0 != 0):
         total = total - p0 * A**s / s
-    rg = complex(special.rgamma(s))
-    err = (piece_i.tail + gf.disc_factor * piece_ii.tail) * abs(rg)
-    return ZetaValue(
-        value=total * rg, s=s, regime="accelerated", error_bound=float(err), split_a=A
-    )
-
-
-class _Piece:
-    def __init__(self, sum_, tail):
-        self.sum = sum_
-        self.tail = tail
+    return total, tail_i + gf.disc_factor * tail_ii
 
 
 def _gamma_weighted_direct(frame, P, h, s, A, tol, shell_cap, threads, phase=None):
     """sum_{l != 0} chi_l P(l) Gamma(s, A Q(l)) / Q(l)^s with certified tail."""
-    acc = CompensatedSum(P.target_dim)
     coeff = P.coeff_l1()
     growth = frame.basis_norm * math.sqrt(frame.rank)
     # tail bound valid once A Q >= x_min (then |Gamma(s,x)| <= 2 x^{Re s - 1} e^{-x})
     x_min = max(1.0, 2.0 * (s.real - 1.0))
     k_cert = math.ceil(math.sqrt(x_min / (A * frame.sigma_min))) + 1
-    nthreads = thread_count(threads)
 
-    def shell_partial(k):
+    def partial(k):
         ms = box_shell(frame.rank, k)
         q = frame.q_values(ms)
         gam = np.array([upper_gamma(s, A * float(x)) for x in q])
@@ -245,16 +242,9 @@ def _gamma_weighted_direct(frame, P, h, s, A, tol, shell_cap, threads, phase=Non
         weights = chi * gam * np.exp(-s * np.log(q))
         return (P.evaluate_many(frame.points(ms)) * weights[:, None]).sum(axis=0)
 
-    k = 1
-    while k <= shell_cap:
-        batch = list(range(k, min(k + max(nthreads, 1), shell_cap + 1)))
-        for part in map_shells(shell_partial, batch, nthreads):
-            acc.add(part)
-        k = batch[-1] + 1
-        if k - 1 < k_cert:
-            continue
-        tail = (2.0 * A ** (s.real - 1.0) / frame.sigma_min) * gaussian_tail(
-            k - 1,
+    def tail(k):
+        return (2.0 * A ** (s.real - 1.0) / frame.sigma_min) * gaussian_tail(
+            k,
             rank=frame.rank,
             sigma=frame.sigma_min,
             decay=A,
@@ -262,17 +252,18 @@ def _gamma_weighted_direct(frame, P, h, s, A, tol, shell_cap, threads, phase=Non
             deg=P.degree,
             growth=growth,
         )
-        if tail <= tol:
-            return _Piece(acc.value, float(tail))
-    raise BudgetExceeded(f"accelerated zeta (direct piece): tail above {tol}")
+
+    return certified_sum(
+        partial, tail, tol, P.target_dim, what="accelerated zeta (direct piece)",
+        shell_cap=shell_cap, start=1, k_cert=k_cert, threads=threads,
+    )
 
 
-def _gamma_weighted_dual(frame, gf, by_tpow, rhos, h, s, A, tol, shell_cap, threads, skip_zero):
-    """Dual-lattice sum of the term-by-term Mellin integrals over (0, A]."""
+def _gamma_weighted_dual(frame, gf, by_tpow, rhos, h, A, tol, shell_cap, threads):
+    """Dual-lattice sum over w != 0 of the term-by-term Mellin integrals over (0, A]."""
     dual = frame.dual_frame()
     r = frame.rank
     target_dim = gf.target_dim
-    acc = CompensatedSum(target_dim)
     qd_sigma = float(np.linalg.eigvalsh(gf.dual_form)[0]) - 1e-12
     h_norm = float(np.linalg.norm(h))
     growth = dual.basis_norm * math.sqrt(r)
@@ -291,13 +282,12 @@ def _gamma_weighted_dual(frame, gf, by_tpow, rhos, h, s, A, tol, shell_cap, thre
         )
         + 1
     )
-    nthreads = thread_count(threads)
 
-    def shell_partial(k):
+    def partial(k):
         ms = box_shell(r, k)
         ws = dual.points(ms) + h
         qd = np.einsum("ij,jk,ik->i", ws, gf.dual_form, ws)
-        keep = qd > SNAP_TOL if skip_zero else np.ones(len(qd), dtype=bool)
+        keep = qd > SNAP_TOL
         ws, qd = ws[keep], qd[keep]
         out = np.zeros(target_dim, dtype=complex)
         if len(ws) == 0:
@@ -318,16 +308,9 @@ def _gamma_weighted_dual(frame, gf, by_tpow, rhos, h, s, A, tol, shell_cap, thre
             out = out + (poly_m * factor[:, None]).sum(axis=0)
         return out
 
-    k = 0
-    while k <= shell_cap:
-        batch = list(range(k, min(k + max(nthreads, 1), shell_cap + 1)))
-        for part in map_shells(shell_partial, batch, nthreads):
-            acc.add(part)
-        k = batch[-1] + 1
-        if k - 1 < k_cert:
-            continue
-        tail = tail_coeff * gaussian_tail(
-            k - 1,
+    def tail(k):
+        return tail_coeff * gaussian_tail(
+            k,
             rank=r,
             sigma=qd_sigma * dual.basis_smin**2,
             decay=math.pi**2 / A,
@@ -337,9 +320,11 @@ def _gamma_weighted_dual(frame, gf, by_tpow, rhos, h, s, A, tol, shell_cap, thre
             rho_shift=h_norm / dual.basis_smin,
             amp_shift=h_norm,
         )
-        if tail <= tol:
-            return _Piece(acc.value, float(tail))
-    raise BudgetExceeded(f"accelerated zeta (dual piece): tail above {tol}")
+
+    return certified_sum(
+        partial, tail, tol, target_dim, what="accelerated zeta (dual piece)",
+        shell_cap=shell_cap, k_cert=k_cert, threads=threads,
+    )
 
 
 def kzeta(frame, P, u, s, mode="auto", split_a=1.0, tol=1e-10, threads=None):
@@ -368,44 +353,6 @@ def kzeta(frame, P, u, s, mode="auto", split_a=1.0, tol=1e-10, threads=None):
     if mode in ("accel", "accelerated"):
         return kzeta_accelerated(frame, P, u, s, split_a=split_a, tol=tol, threads=threads)
     raise ValueError("mode must be auto, direct or accel")
-
-
-def kzeta_gamma_product(frame, P, u, s, split_a=1.0, tol=1e-10, threads=None):
-    """The assembled Gamma(s) * K(s) before dividing by Gamma.
-
-    For u outside the base lattice every piece is entire in s, which the
-    suite checks through a Cauchy-integral reconstruction on a small circle.
-    """
-    s = complex(s)
-    A = float(split_a)
-    h = frame.reduce_point(u)
-    gf = gaussian_ft(P, frame.q_mat, h=h, pairing=frame.pairing, vol_scale=frame.vol_scale)
-    by_tpow = gf.monomials_by_tpower()
-    rhos = {m: frame.rank / 2.0 + m - s for m in by_tpow}
-    piece_i = _gamma_weighted_direct(
-        frame, P, h, s, A, tol / 2, DEFAULT_SHELL_CAP, threads, phase=frame.phase_data(u)
-    )
-    piece_ii = _gamma_weighted_dual(
-        frame, gf, by_tpow, rhos, h, s, A, tol / 2, DEFAULT_SHELL_CAP, threads, skip_zero=True
-    )
-    total = piece_i.sum + gf.disc_factor * piece_ii.sum
-    p0 = P.value_at_zero()
-    if frame.in_base_lattice(u):
-        for m, monos in by_tpow.items():
-            c0 = sum(
-                (vec for alpha, vec in monos if sum(alpha) == 0),
-                np.zeros(P.target_dim, dtype=complex),
-            )
-            denom = s - frame.rank / 2.0 - m
-            if np.any(c0 != 0):
-                if abs(denom) < _POLE_TOL:
-                    raise ZeroSectionSingularity(f"pole at s = {frame.rank / 2.0 + m}")
-                total = total + gf.disc_factor * c0 * A**denom / denom
-    if np.any(p0 != 0):
-        if abs(s) < _POLE_TOL:
-            raise PoleAtS("boundary term pole at s = 0")
-        total = total - p0 * A**s / s
-    return total
 
 
 def torus_distance(frame, u):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from polylat.config import load_config, parse_sections
+from polylat.currents import g_grade
 from polylat.errors import ConfigError, ConfigNotFound
 
 TAU_I = """
@@ -159,6 +160,22 @@ def test_cli_zeta_scan_csv(tmp_path):
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "u1,u2,component,value_re,value_im,grad_norm"
     assert len(lines) == 5
+
+
+def test_cli_current_scan_csv(tmp_path):
+    path = write(tmp_path, "a.cfg", TAU_I)
+    proc = run_cli("current", "scan", path, "--grade", "3", "--grid-n", "2", "--tol", "1e-8")
+    assert proc.returncode == 0
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "u1,u2,component,value_re,value_im"
+    data = load_config(path).data
+    expected = []
+    for u in [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]:
+        cv = g_grade(data, u, 3, tol=1e-8)
+        for (word, ext), v in sorted(cv.components.items()):
+            expected.append(f"{u[0]:.12g},{u[1]:.12g},{list(word)}|{list(ext)},{v.real:.15g},{v.imag:.15g}")
+    assert len(lines) == 1 + len(expected) == 1 + 4 * 2
+    assert lines[1:] == expected
 
 
 def test_cli_current_and_eisenstein(tmp_path):
