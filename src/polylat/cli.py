@@ -4,13 +4,14 @@ Output is a stream of line-delimited JSON records (sorted keys, no
 timestamps) so sequential runs are byte-identical; the scan commands
 emit CSV for plot consumption.  Exit codes: 0 success / all checks pass,
 1 verification failure or engine error (stable `error` code field),
-2 usage or configuration error.
+2 usage or configuration error, 141 stdout closed by its reader.
 """
 
 import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -56,19 +57,52 @@ def emit(record, out=None):
     (out or sys.stdout).write(json.dumps(record, sort_keys=True, default=_json_default) + "\n")
 
 
-def parse_vector(text):
-    return [float(Fraction(x)) if "/" in x else float(x) for x in text.split(",")]
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 
 
-def parse_rational_vector(text):
-    return [Fraction(x) for x in text.split(",")]
+def positive(text):
+    """argparse type for an option that must be > 0; a ConfigError (exit 2) otherwise."""
+    value = float(text)
+    if not value > 0:
+        raise ConfigError(f"expected a positive number, got {text!r}")
+    return value
 
 
+def _input(parse):
+    """Report malformed input to a parse helper as a ConfigError, not a traceback."""
+
+    def wrapped(text, *args):
+        try:
+            return parse(text, *args)
+        except (ValueError, TypeError, AttributeError, IndexError, ZeroDivisionError) as exc:
+            raise ConfigError(f"malformed input {text!r}: {exc}") from None
+
+    return wrapped
+
+
+def _coords(vec, rank, text):
+    if rank is not None and len(vec) != rank:
+        raise ConfigError(f"expected {rank} coordinates, got {len(vec)} in {text!r}")
+    return vec
+
+
+@_input
+def parse_vector(text, rank=None):
+    return _coords([float(Fraction(x)) if "/" in x else float(x) for x in text.split(",")], rank, text)
+
+
+@_input
+def parse_rational_vector(text, rank=None):
+    return _coords([Fraction(x) for x in text.split(",")], rank, text)
+
+
+@_input
 def parse_complex(text):
     parts = text.split(",")
     return complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
 
 
+@_input
 def parse_poly(text, rank):
     """'1' for the constant, else JSON {'e1,e2,..': [re, im], ...}."""
     text = text.strip()
@@ -94,6 +128,32 @@ def poly_spec(P):
     }
 
 
+def _frame_inputs(args, u_default=0.0):
+    """Config, summation frame, polynomial and torus point of a theta/zeta command."""
+    cfg = load_config(args.config)
+    frame = cfg.frame(side=args.side)
+    P = parse_poly(args.p, frame.rank)
+    u = parse_vector(args.u, frame.rank) if args.u else [u_default] * frame.rank
+    return cfg, frame, P, u
+
+
+def _current_fields(cv):
+    return {
+        "components": {
+            f"{list(word)}|{list(ext)}": complex(v)
+            for (word, ext), v in sorted(cv.components.items())
+        },
+        "regime": cv.regime,
+        "error_bound": cv.error_bound,
+        "convention_metadata": cv.meta.get("convention"),
+    }
+
+
+def _grid(n, rank):
+    """Torus grid of the cell midpoints (i + 1/2) / n, n per axis."""
+    return [tuple((i + 0.5) / n for i in idx) for idx in np.ndindex(*([n] * rank))]
+
+
 def _theta_record(result, command, inputs):
     return {
         "command": command,
@@ -109,56 +169,45 @@ def cmd_lattice_info(args):
     cfg = load_config(args.config)
     if cfg.lattice_kind == "euclidean":
         frame = cfg.frame()
-        emit(
-            {
-                "command": "lattice info",
-                "kind": "euclidean",
-                "rank": frame.rank,
-                "gram_det": float(np.linalg.det(frame.gram)),
-                "min_nonzero_q": float(np.min(frame.q_values(enumerate_shell(frame, 4.0 * frame.sigma_max)))),
-            }
-        )
-        return 0
-    data = cfg.data
-    dl = dual_lattice(data)
-    shells = enumerate_shell(data, 4.0 * math.pi * data.d)
-    frame = SumLattice.from_abelian(data, "primal")
-    checks = {
-        "j_squared": "exact",
-        "e_alternating": True,
-        "positivity": True,
-        "kappa_equals_abs_det_e": dl.kappa == abs(data.det_e()),
-    }
-    emit(
-        {
-            "command": "lattice info",
+        record = {
+            "kind": "euclidean",
+            "rank": frame.rank,
+            "gram_det": float(np.linalg.det(frame.gram)),
+        }
+        radius = 4.0 * frame.sigma_max
+    else:
+        data = cfg.data
+        frame = SumLattice.from_abelian(data, "primal")
+        kappa = dual_lattice(data).kappa
+        checks = {
+            "j_squared": "exact",
+            "e_alternating": True,
+            "positivity": True,
+            "kappa_equals_abs_det_e": kappa == abs(data.det_e()),
+        }
+        record = {
             "kind": "abelian",
             "d": data.d,
-            "kappa": dl.kappa,
+            "kappa": kappa,
             "det_e": data.det_e(),
-            "min_nonzero_q": float(np.min(frame.q_values(shells))),
             "convention_checks": checks,
             "convention_metadata": CONVENTION_NOTE,
         }
-    )
+        radius = 4.0 * math.pi * data.d
+    q = frame.q_values(enumerate_shell(frame, radius))
+    emit({"command": "lattice info", "min_nonzero_q": float(np.min(q)), **record})
     return 0
 
 
 def cmd_theta_eval(args):
-    cfg = load_config(args.config)
-    frame = cfg.frame(side=args.side)
-    P = parse_poly(args.p, frame.rank)
-    u = parse_vector(args.u) if args.u else [0.0] * frame.rank
+    cfg, frame, P, u = _frame_inputs(args)
     res = theta_eval(frame, P, u, args.t, tol=cfg.tol(args.tol), mode=args.mode, threads=args.threads)
     emit(_theta_record(res, "theta eval", {"p": poly_spec(P), "t": args.t, "u": u, "mode": args.mode}))
     return 0
 
 
 def cmd_theta_check(args):
-    cfg = load_config(args.config)
-    frame = cfg.frame(side=args.side)
-    P = parse_poly(args.p, frame.rank)
-    u = parse_vector(args.u) if args.u else [0.0] * frame.rank
+    cfg, frame, P, u = _frame_inputs(args)
     # truncation certificates must sit well below the comparison threshold
     tol = min(cfg.tol(args.tol), args.threshold / 100.0)
     a = theta_direct(frame, P, u, args.t, tol=tol, threads=args.threads)
@@ -179,15 +228,11 @@ def cmd_theta_check(args):
 
 
 def cmd_zeta_eval(args):
-    cfg = load_config(args.config)
-    frame = cfg.frame(side=args.side)
-    P = parse_poly(args.p, frame.rank)
-    u = parse_vector(args.u) if args.u else [0.0] * frame.rank
+    cfg, frame, P, u = _frame_inputs(args)
     s = parse_complex(args.s)
-    mode = {"direct": "direct", "accel": "accel", "auto": "auto"}[args.mode]
     zv = kzeta(
         frame, P, u, s,
-        mode=mode,
+        mode=args.mode,
         split_a=cfg.split_a(args.split_a),
         tol=cfg.tol(args.tol),
         threads=args.threads,
@@ -205,10 +250,7 @@ def cmd_zeta_eval(args):
 
 
 def cmd_zeta_check(args):
-    cfg = load_config(args.config)
-    frame = cfg.frame(side=args.side)
-    P = parse_poly(args.p, frame.rank)
-    u = parse_vector(args.u) if args.u else [1.0 / 3.0] * frame.rank
+    cfg, frame, P, u = _frame_inputs(args, 1.0 / 3.0)
     s = parse_complex(args.s)
     tol = cfg.tol(args.tol)
     vals = {}
@@ -241,10 +283,7 @@ def cmd_zeta_scan(args):
     frame = cfg.frame(side=args.side)
     P = parse_poly(args.p, frame.rank)
     s = parse_complex(args.s)
-    n = args.grid_n
-    grid = []
-    for idx in np.ndindex(*([n] * frame.rank)):
-        grid.append(tuple((i + 0.5) / n for i in idx))
+    grid = _grid(args.grid_n, frame.rank)
     rows = smoothness_scan(frame, P, s, grid, fd_step=args.fd_step, tol=cfg.tol(args.tol))
     writer = csv.writer(sys.stdout)
     header = [f"u{i + 1}" for i in range(frame.rank)] + [
@@ -268,7 +307,7 @@ def cmd_current_eval(args):
     cfg = load_config(args.config)
     if cfg.lattice_kind != "abelian":
         raise ConfigError("current eval needs abelian lattice data")
-    u = parse_vector(args.u)
+    u = parse_vector(args.u, cfg.data.rank)
     grades = g_total(
         cfg.data, u, cfg.grade_max(args.grade_max), tol=cfg.tol(args.tol), threads=args.threads
     )
@@ -277,13 +316,7 @@ def cmd_current_eval(args):
             {
                 "command": "current eval",
                 "inputs": {"u": u, "grade": n},
-                "components": {
-                    f"{list(word)}|{list(ext)}": complex(v)
-                    for (word, ext), v in sorted(cv.components.items())
-                },
-                "regime": cv.regime,
-                "error_bound": cv.error_bound,
-                "convention_metadata": cv.meta.get("convention"),
+                **_current_fields(cv),
             }
         )
     return 0
@@ -293,12 +326,10 @@ def cmd_current_scan(args):
     cfg = load_config(args.config)
     if cfg.lattice_kind != "abelian":
         raise ConfigError("current scan needs abelian lattice data")
-    n = args.grid_n
     writer = csv.writer(sys.stdout)
     rank = cfg.data.rank
     writer.writerow([f"u{i + 1}" for i in range(rank)] + ["component", "value_re", "value_im"])
-    for idx in np.ndindex(*([n] * rank)):
-        u = tuple((i + 0.5) / n for i in idx)
+    for u in _grid(args.grid_n, rank):
         cv = g_grade(cfg.data, u, args.grade, tol=cfg.tol(args.tol), threads=args.threads)
         for (word, ext), v in sorted(cv.components.items()):
             writer.writerow(
@@ -312,7 +343,7 @@ def cmd_eisenstein_eval(args):
     cfg = load_config(args.config)
     if cfg.lattice_kind != "abelian":
         raise ConfigError("eisenstein eval needs abelian lattice data")
-    x = TorsionPoint.from_rationals(parse_rational_vector(args.torsion))
+    x = TorsionPoint.from_rationals(parse_rational_vector(args.torsion, cfg.data.rank))
     n_max = args.nmax if args.nmax else args.l + 3
     cv = eisenstein_value(
         cfg.data, x, args.l, n_max, tol=cfg.tol(args.tol), threads=args.threads
@@ -321,13 +352,7 @@ def cmd_eisenstein_eval(args):
         {
             "command": "eisenstein eval",
             "inputs": {"torsion": [str(v) for v in x.u], "l": args.l, "order": x.order},
-            "components": {
-                f"{list(word)}|{list(ext)}": complex(v)
-                for (word, ext), v in sorted(cv.components.items())
-            },
-            "regime": cv.regime,
-            "error_bound": cv.error_bound,
-            "convention_metadata": cv.meta.get("convention"),
+            **_current_fields(cv),
         }
     )
     return 0
@@ -418,68 +443,58 @@ def build_parser():
     parser.add_argument("--threads", type=int, default=None, help="worker threads (default: POLYLAT_THREADS or 1)")
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def add(group_parser, name, fn, config=True):
+    def add(group_parser, name, fn, config=True, tol=True, frame=False):
         p = group_parser.add_parser(name)
         if config:
             p.add_argument("config")
+        if frame:  # theta and zeta commands sum over a frame of the config
+            p.add_argument("--p", default="1")
+            p.add_argument("--side", default="dual", choices=["dual", "primal"])
+        if config and tol:
+            p.add_argument("--tol", type=positive, default=None)
         p.set_defaults(fn=fn)
         return p
 
     lat = sub.add_parser("lattice").add_subparsers(dest="action", required=True)
-    add(lat, "info", cmd_lattice_info)
+    add(lat, "info", cmd_lattice_info, tol=False)
 
     th = sub.add_parser("theta").add_subparsers(dest="action", required=True)
     for name, fn in (("eval", cmd_theta_eval), ("check-transform", cmd_theta_check)):
-        p = add(th, name, fn)
-        p.add_argument("--t", type=float, required=True)
+        p = add(th, name, fn, frame=True)
+        p.add_argument("--t", type=positive, required=True)
         p.add_argument("--u", default=None)
-        p.add_argument("--p", default="1")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--side", default="dual", choices=["dual", "primal"])
         if name == "eval":
             p.add_argument("--mode", default="auto", choices=["auto", "direct", "transformed"])
         else:
-            p.add_argument("--threshold", type=float, default=1e-10)
+            p.add_argument("--threshold", type=positive, default=1e-10)
 
     ze = sub.add_parser("zeta").add_subparsers(dest="action", required=True)
-    p = add(ze, "eval", cmd_zeta_eval)
+    p = add(ze, "eval", cmd_zeta_eval, frame=True)
     p.add_argument("--s", required=True, help="re,im")
     p.add_argument("--u", default=None)
-    p.add_argument("--p", default="1")
-    p.add_argument("--A", dest="split_a", type=float, default=None)
+    p.add_argument("--A", dest="split_a", type=positive, default=None)
     p.add_argument("--mode", default="auto", choices=["direct", "accel", "auto"])
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--side", default="dual", choices=["dual", "primal"])
-    p = add(ze, "check", cmd_zeta_check)
+    p = add(ze, "check", cmd_zeta_check, frame=True)
     p.add_argument("--s", required=True)
     p.add_argument("--u", default=None)
-    p.add_argument("--p", default="1")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--side", default="dual", choices=["dual", "primal"])
-    p = add(ze, "scan", cmd_zeta_scan)
+    p = add(ze, "scan", cmd_zeta_scan, frame=True)
     p.add_argument("--s", required=True)
-    p.add_argument("--p", default="1")
     p.add_argument("--grid-n", type=int, default=8)
-    p.add_argument("--fd-step", type=float, default=0.01)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--side", default="dual", choices=["dual", "primal"])
+    p.add_argument("--fd-step", type=positive, default=0.01)
 
     cu = sub.add_parser("current").add_subparsers(dest="action", required=True)
     p = add(cu, "eval", cmd_current_eval)
     p.add_argument("--u", required=True)
     p.add_argument("--grade-max", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p = add(cu, "scan", cmd_current_scan)
     p.add_argument("--grade", type=int, default=2)
     p.add_argument("--grid-n", type=int, default=4)
-    p.add_argument("--tol", type=float, default=None)
 
     ei = sub.add_parser("eisenstein").add_subparsers(dest="action", required=True)
     p = add(ei, "eval", cmd_eisenstein_eval)
     p.add_argument("--torsion", required=True, help="p1/N,p2/N,...")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
 
     al = sub.add_parser("algebra").add_subparsers(dest="action", required=True)
     p = add(al, "verify", cmd_algebra_verify, config=False)
@@ -505,10 +520,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): nothing more can be shown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         emit({"error": exc.code, "message": str(exc)}, out=sys.stderr)
         return 2

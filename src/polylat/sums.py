@@ -128,16 +128,27 @@ def gaussian_tail(k0, *, rank, sigma, decay, coeff, deg, growth, rho_shift=0.0, 
     return _sum_decaying_terms(term, k0 + 1)
 
 
-def power_tail(k0, *, rank, sigma, s_re, coeff, deg, growth):
-    """Closed-form bound for sum_{k > k0} count * poly / (sigma k^2)^{s_re}.
+def power_tail(R, *, rank, sqrt_det, cell_radius, s_re, amps):
+    """Integral-comparison bound for sum over Q(m) > R of |P(Bm)| Q(m)^{-s_re}.
 
-    Uses count(k) <= 2r(2k+1)^{r-1} <= 2r 3^{r-1} k^{r-1} and the integral
-    comparison for the resulting k power; requires the exponent to be < -1.
+    amps[k] bounds the degree-k part of P by amps[k] Q(m)^{k/2}.  On the
+    unit cell around m, sqrt(Q(m)) >= sqrt(Q(x)) - D (D = cell_radius),
+    and the cells of the points with Q > R lie in sqrt(Q(x)) > sqrt(R) - D;
+    so in ellipsoid-polar coordinates, with tau = sqrt(Q(x)) - D, the tail
+    is at most r V_r / sqrt(det G) * sum_k amps[k] *
+    int_{sqrt(R) - 2D}^inf (tau + D)^{r-1} tau^{k - 2 s_re} dtau, expanded
+    binomially.  Infinite unless sqrt(R) > 2D and 2 s_re > deg + r.
     """
-    if k0 < 1:
-        raise ValueError("power tail needs k0 >= 1")
-    p = rank - 1 + deg - 2.0 * s_re
-    if p >= -1.0:
+    tau0 = math.sqrt(R) - 2.0 * cell_radius
+    if tau0 <= 0:
         return math.inf
-    front = 2 * rank * 3 ** (rank - 1) * coeff * max(1.0, growth) ** deg * sigma ** (-s_re)
-    return front * k0 ** (p + 1) / (-1.0 - p)
+    total = 0.0
+    for k, amp in enumerate(amps):
+        if amp == 0:
+            continue
+        for j in range(rank):
+            p = j + k + 1 - 2.0 * s_re
+            if p >= 0 or p * math.log(tau0) > 700:  # divergent, or beyond float range
+                return math.inf
+            total += amp * math.comb(rank - 1, j) * cell_radius ** (rank - 1 - j) * tau0**p / -p
+    return 2.0 * math.pi ** (rank / 2) / math.gamma(rank / 2) / sqrt_det * total

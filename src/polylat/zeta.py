@@ -25,11 +25,13 @@ from .errors import (
     ZeroSectionSingularity,
 )
 from .incgamma import upper_gamma
-from .lattice import SNAP_TOL, box_shell
+from .lattice import ENUM_CHUNK, SNAP_TOL, box_shell, cell_radius, ellipsoid_chunks, ellipsoid_point_bound
 from .polygauss import gaussian_ft
-from .sums import certified_sum, gaussian_tail, power_tail
+from .sums import CompensatedSum, certified_sum, gaussian_tail, power_tail
 
 DEFAULT_SHELL_CAP = 400
+POINT_BUDGET = 2e9  # points a direct sum may visit; the rank-2 s = 2 regime check needs ~1.2e9
+AUTO_DIRECT_POINTS = 129**2  # auto mode sums directly only up to this many points
 _POLE_TOL = 1e-12
 
 
@@ -49,113 +51,75 @@ def converges_directly(P, s, rank):
     return 2.0 * complex(s).real - P.degree > rank
 
 
-def kzeta_direct(frame, P, u, s, tol=1e-10, shell_cap=DEFAULT_SHELL_CAP, threads=None):
-    """Shell summation in the absolute-convergence region with power-law tail."""
+def _direct_radius(frame, P, s_re, tol, budget):
+    """Smallest R (to bisection precision) whose tail beyond Q > R is <= tol.
+
+    Returns (R, tail), or None when the ellipsoid Q <= R would exceed
+    `budget` points.  Solved from the closed-form tail before any sum.
+    """
+    gram = frame.gram
+    sqrt_det = math.sqrt(float(np.linalg.det(gram)))
+    D = cell_radius(gram)
+    # |y|^2 <= Q / lambda_min(M) for y = B m, so |y^alpha| <= (Q / lambda_min)^{|alpha|/2}
+    grow = 1.0 / math.sqrt(float(np.linalg.eigvalsh(frame.q_mat)[0]))
+    amps = [0.0] * (P.degree + 1)
+    for alpha, vec in P.coeffs.items():
+        amps[sum(alpha)] += float(np.max(np.abs(vec))) * grow ** sum(alpha)
+
+    def tail(tau):
+        return power_tail(
+            (tau + 2 * D) ** 2, rank=frame.rank, sqrt_det=sqrt_det, cell_radius=D, s_re=s_re, amps=amps
+        )
+
+    # R = (tau + 2D)^2; the tail falls and the point bound grows with tau
+    lo, hi = 0.0, 1.0
+    while tail(hi) > tol:
+        if ellipsoid_point_bound(gram, (hi + 2 * D) ** 2) > budget:
+            return None
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if tail(mid) <= tol else (mid, hi)
+    R = (hi + 2 * D) ** 2
+    return (R, tail(hi)) if ellipsoid_point_bound(gram, R) <= budget else None
+
+
+def kzeta_direct(frame, P, u, s, tol=1e-10):
+    """Sum over the ellipsoid Q(l) <= R in the absolute-convergence region.
+
+    R is solved from the integral-comparison tail before summing and its
+    point count checked against POINT_BUDGET.  Each pair l, -l is summed
+    once: chi(-l) = conj chi(l), Q(-l) = Q(l) and P is evaluated at -l.
+    """
     s = complex(s)
     if not converges_directly(P, s, frame.rank):
         raise NotAbsolutelyConvergent(
             f"need 2 Re(s) - deg P > {frame.rank}, got s={s}, deg={P.degree}"
         )
+    plan = _direct_radius(frame, P, s.real, tol, POINT_BUDGET)
+    if plan is None:
+        raise BudgetExceeded(f"direct zeta: no certified tail <= {tol} within {POINT_BUDGET:.3g} points")
+    R, bound = plan
     h = frame.reduce_point(u)
-    constant_p = P.degree == 0 and not P.is_zero()
-    if frame.rank == 2 and constant_p and s.imag == 0.0 and not np.any(h != 0.0):
-        return _direct_ball_rank2(frame, P, s.real, tol)
-    coeff = P.coeff_l1()
-    growth = frame.basis_norm * math.sqrt(frame.rank)
     phase = frame.phase_data(u)
-
-    def partial(k):
-        ms = box_shell(frame.rank, k)
-        q = frame.q_values(ms)
-        chi = (
-            frame.char_values(ms, h)
-            if phase is None
-            else frame.char_values_exact(ms, *phase)
-        )
-        weights = chi * np.exp(-s * np.log(q))
-        return (P.evaluate_many(frame.points(ms)) * weights[:, None]).sum(axis=0)
-
-    def tail(k):
-        return power_tail(
-            k, rank=frame.rank, sigma=frame.sigma_min, s_re=s.real, coeff=coeff, deg=P.degree, growth=growth
-        )
-
-    what = "direct zeta"
-    # the closed-form tail decreases in k: if it misses tol at the cap, no shell count can succeed
-    if shell_cap < 1 or tail(shell_cap) > tol:
-        raise BudgetExceeded(f"{what}: no certified tail <= {tol} within {shell_cap} shells")
-    value, bound, _shells = certified_sum(
-        partial, tail, tol, P.target_dim, what=what, shell_cap=shell_cap, start=1, threads=threads
-    )
-    return ZetaValue(value=value, s=s, regime="direct", error_bound=bound)
-
-
-def _ball_tail_scalar(frame, s_re, radius):
-    """Integral-comparison bound for sum over Q(m) > radius of Q(m)^{-s}.
-
-    Shifting each lattice cell into the continuum costs the cell diameter
-    D in the Q-norm: Q(m)^{-s} <= integral over the cell of
-    (sqrt(Q(x)) - D)^{-2s}, so the tail is bounded by the ellipsoid-polar
-    integral 2*pi/sqrt(det M) * int rho (rho - D)^{-2s} drho.
-    """
-    m = frame.basis.T @ frame.q_mat @ frame.basis
-    det = float(np.linalg.det(m))
-    corners = [np.array(c, dtype=float) for c in np.ndindex(2, 2)]
-    D = max(math.sqrt(float(c @ m @ c)) for c in corners)
-    rho0 = math.sqrt(radius)
-    tau0 = rho0 - D
-    if tau0 <= 0 or 2 * s_re <= 2:
-        return math.inf
-    # int_{tau0}^inf (tau + D) tau^{-2s} dtau, expanded in powers
-    val = tau0 ** (2 - 2 * s_re) / (2 * s_re - 2) + D * tau0 ** (1 - 2 * s_re) / (2 * s_re - 1)
-    return 2 * math.pi / math.sqrt(det) * val
-
-
-def _direct_ball_rank2(frame, P, s_re, tol, max_radius_coord=500_000):
-    """Row-by-row rank-2 ball summation for constant P, u = 0, real s.
-
-    This is the same direct algorithm with a tighter (ball) truncation
-    certificate, needed because the absolute tail decays only like a power.
-    Uses the lambda <-> -lambda symmetry (the summand is even here).
-    """
-    g = frame.gram
-    a, b, c = g[0, 0], g[0, 1], g[1, 1]
-    const = complex(P.value_at_zero()[0])
-    # grow the radius until the certificate passes
-    radius = 16.0 * frame.sigma_max
-    while _ball_tail_scalar(frame, s_re, radius) * abs(const) > tol:
-        radius *= 2.0
-        if radius > frame.sigma_min * max_radius_coord**2:
-            raise BudgetExceeded("direct ball summation: radius exceeds budget")
-    m1_max = int(math.floor(math.sqrt(radius / (a - b * b / c))))
-    total = 0.0
-    comp = 0.0
-    for m1 in range(0, m1_max + 1):
-        # solve c m2^2 + 2 b m1 m2 + (a m1^2 - radius) <= 0
-        disc = (b * m1) ** 2 - c * (a * m1 * m1 - radius)
-        if disc < 0:
+    trivial = not np.any(h)  # every character is 1
+    constant = P.degree == 0
+    acc = CompensatedSum(1 if constant else P.target_dim)
+    chunk = max(ENUM_CHUNK // P.target_dim, 1024)  # bounds the (points x components) arrays
+    for ms, q in ellipsoid_chunks(frame.gram, R, half=True, coords=not (trivial and constant), chunk=chunk):
+        w = q ** -s.real if s.imag == 0 else np.exp(-s * np.log(q))
+        chi = None
+        if not trivial:
+            chi = frame.char_values(ms, h) if phase is None else frame.char_values_exact(ms, *phase)
+        if constant:
+            acc.add(w.sum() if trivial else w @ chi.real)
             continue
-        lo = int(math.ceil((-b * m1 - math.sqrt(disc)) / c))
-        hi = int(math.floor((-b * m1 + math.sqrt(disc)) / c))
-        if m1 == 0:
-            lo = max(lo, 1)  # half-lattice representatives; factor 2 below
-        m2 = np.arange(lo, hi + 1, dtype=float)
-        if len(m2) == 0:
-            continue
-        q = a * m1 * m1 + 2 * b * m1 * m2 + c * m2 * m2
-        q = q[q > 0]
-        part = float(np.sum(q ** (-s_re)))
-        t = total + part
-        comp += (total - t) + part if abs(total) >= abs(part) else (part - t) + total
-        total = t
-    value = 2.0 * (total + comp) * const
-    tail = _ball_tail_scalar(frame, s_re, radius) * abs(const)
-    return ZetaValue(
-        value=np.array([value], dtype=complex),
-        s=complex(s_re),
-        regime="direct",
-        error_bound=float(tail),
-    )
+        y = frame.points(ms)
+        plus, minus = P.evaluate_many(y), P.evaluate_many(-y)
+        pair = plus + minus if trivial else chi[:, None] * plus + chi.conj()[:, None] * minus
+        acc.add(w @ pair)
+    value = 2.0 * acc.value[0] * P.value_at_zero() if constant else acc.value
+    return ZetaValue(value=value, s=s, regime="direct", error_bound=float(bound))
 
 
 def kzeta_accelerated(
@@ -330,26 +294,17 @@ def _gamma_weighted_dual(frame, gf, by_tpow, rhos, h, A, tol, shell_cap, threads
 def kzeta(frame, P, u, s, mode="auto", split_a=1.0, tol=1e-10, threads=None):
     """Dispatch between the direct and accelerated regimes.
 
-    `auto` picks the direct sum only when its power-law certificate
-    reaches tol within a modest shell budget; otherwise the continuation
-    (which agrees wherever both converge) is used.
+    `auto` picks the direct sum only when its certified ellipsoid holds at
+    most AUTO_DIRECT_POINTS points; otherwise the continuation (which
+    agrees wherever both converge) is used.
     """
     if mode == "auto":
-        cheap = False
-        if converges_directly(P, s, frame.rank):
-            probe = power_tail(
-                64,
-                rank=frame.rank,
-                sigma=frame.sigma_min,
-                s_re=complex(s).real,
-                coeff=P.coeff_l1(),
-                deg=P.degree,
-                growth=frame.basis_norm * math.sqrt(frame.rank),
-            )
-            cheap = probe <= tol
+        cheap = converges_directly(P, s, frame.rank) and (
+            _direct_radius(frame, P, complex(s).real, tol, AUTO_DIRECT_POINTS) is not None
+        )
         mode = "direct" if cheap else "accel"
     if mode == "direct":
-        return kzeta_direct(frame, P, u, s, tol=tol, threads=threads)
+        return kzeta_direct(frame, P, u, s, tol=tol)
     if mode in ("accel", "accelerated"):
         return kzeta_accelerated(frame, P, u, s, split_a=split_a, tol=tol, threads=threads)
     raise ValueError("mode must be auto, direct or accel")

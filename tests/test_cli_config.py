@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+from polylat.cli import main
 from polylat.config import load_config, parse_sections
 from polylat.currents import g_grade
 from polylat.errors import ConfigError, ConfigNotFound
@@ -190,6 +192,48 @@ def test_cli_current_and_eisenstein(tmp_path):
     assert rec["inputs"]["order"] == 3
     vals = [abs(complex(v["re"], v["im"])) for v in rec["components"].values()]
     assert max(vals) > 1e-4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "eval", "CFG", "--t", "1.0", "--u", "abc"],
+        ["zeta", "eval", "CFG", "--s", "3,0", "--u", "0.5"],
+        ["zeta", "eval", "CFG", "--s", "abc"],
+        ["theta", "eval", "CFG", "--t", "1.0", "--p", "{bad"],
+        ["theta", "eval", "CFG", "--t", "1.0", "--p", '{"a": [1]}'],
+        ["eisenstein", "eval", "CFG", "--torsion", "1/0,0", "--l", "2"],
+        ["eisenstein", "eval", "CFG", "--torsion", "1/3", "--l", "2"],
+        ["theta", "eval", "CFG", "--t", "-1"],
+        ["zeta", "eval", "CFG", "--s", "3,0", "--tol", "0"],
+        ["zeta", "eval", "CFG", "--s", "3,0", "--mode", "accel", "--A", "0"],
+        ["theta", "check-transform", "CFG", "--t", "0.7", "--threshold", "0"],
+    ],
+    ids=lambda argv: " ".join(argv[3:]),
+)
+def test_cli_malformed_input_exit2(tmp_path, capsys, argv):
+    path = write(tmp_path, "a.cfg", TAU_I)
+    assert main([path if a == "CFG" else a for a in argv]) == 2
+    rec = json.loads(capsys.readouterr().err)
+    assert rec["error"] == "CONFIG_ERROR"
+
+
+def test_cli_closed_stdout_exit_code(tmp_path):
+    # the reader has gone before anything is flushed, as with `| head -1`
+    path = write(tmp_path, "a.cfg", TAU_I)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "polylat.cli", "current", "scan", path, "--grade", "3", "--grid-n", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_cli_eisenstein_zero_section_exit1(tmp_path):

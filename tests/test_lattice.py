@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from polylat import (
     hodge_split,
     q_form,
 )
+from polylat.lattice import cell_radius, ellipsoid_chunks, ellipsoid_point_bound
 from polylat.errors import (
     ConventionViolation,
     NotInDualLattice,
@@ -121,17 +123,45 @@ def test_enumerate_shell_monotone(tau_i):
 
 
 def test_enumerate_shell_complete_bruteforce():
+    # a sheared rank-2 lattice and a skewed rank-4 frame (Gram condition ~5e2)
     data = PolarizedAbelianData.from_tau(Fraction(1, 2), Fraction(3, 2))
-    frame = SumLattice.from_abelian(data, "primal")
-    R = 25.0
-    got = {tuple(v) for v in enumerate_shell(data, R).tolist()}
-    expect = set()
-    for m in range(-10, 11):
-        for n in range(-10, 11):
-            q = frame.q_values(np.array([[m, n]]))[0]
-            if 0 < q <= R:
-                expect.add((m, n))
-    assert got == expect
+    shear = np.array([[1.0, 0.9, 0.8, 0.7], [0.0, 1.0, -0.9, 0.8], [0.0, 0.0, 0.4, 0.9], [0.0, 0.0, 0.0, 0.5]])
+    skewed = SumLattice.euclidean(4, shear.T @ shear)
+    for lattice, R in ((data, 25.0), (skewed, 2.0)):
+        frame = lattice if isinstance(lattice, SumLattice) else SumLattice.from_abelian(lattice, "primal")
+        got = enumerate_shell(lattice, R)
+        # brute force over the box |m_i| <= sqrt(R (G^-1)_ii) that holds the ellipsoid
+        reach = np.ceil(np.sqrt(R * np.diag(np.linalg.inv(frame.gram)))).astype(int)
+        box = np.array(list(itertools.product(*(range(-b, b + 1) for b in reach))))
+        q = frame.q_values(box)
+        expect = box[(q > 0) & (q <= R)]  # itertools.product runs in lexicographic order
+        assert len(expect) > 20
+        assert {tuple(v) for v in got.tolist()} == {tuple(v) for v in expect.tolist()}
+        assert got.tolist() == expect.tolist()
+
+
+def test_ellipsoid_chunks_half_lattice_and_chunking():
+    gram = SumLattice.from_abelian(PolarizedAbelianData.from_tau(Fraction(1, 2), Fraction(3, 2)), "dual").gram
+    full = np.vstack([ms for ms, _q in ellipsoid_chunks(gram, 40.0)])
+    pieces = list(ellipsoid_chunks(gram, 40.0, half=True, chunk=5))
+    assert all(len(q) <= 5 or len(set(map(tuple, ms[:, :-1].tolist()))) == 1 for ms, q in pieces)
+    half = np.vstack([ms for ms, _q in pieces])
+    q = np.concatenate([q for _ms, q in pieces])
+    assert np.allclose(q, np.einsum("ij,jk,ik->i", half, gram, half), rtol=1e-12)
+    # one of each pair +-m, never the origin, in lexicographic order
+    assert half.tolist() == sorted(half.tolist())
+    pairs = {tuple(v) for v in half.tolist()} | {tuple(v) for v in (-half).tolist()}
+    assert len(pairs) == 2 * len(half)
+    assert pairs == {tuple(v) for v in full.tolist() if any(v)}
+    assert [None] * len(pieces) == [ms for ms, _q in ellipsoid_chunks(gram, 40.0, half=True, coords=False, chunk=5)]
+
+
+def test_ellipsoid_point_bound_covers_count():
+    for gram in (np.eye(2), np.array([[2.0, 1.9], [1.9, 2.0]]), np.diag([1.0, 4.0, 9.0, 0.5])):
+        for R in (0.3, 5.0, 60.0):
+            count = sum(int(np.sum(q <= R)) for _ms, q in ellipsoid_chunks(gram, R))
+            assert count <= ellipsoid_point_bound(gram, R)
+    assert cell_radius(np.eye(2)) == pytest.approx(math.sqrt(0.5))
 
 
 def test_enumerate_shell_cap(tau_i):

@@ -9,6 +9,7 @@ from polylat.errors import BudgetExceeded
 from polylat.polygauss import VectorPolynomial
 from polylat.sums import certified_sum
 from polylat.theta import theta_direct, theta_transformed
+from polylat import zeta
 from polylat.zeta import kzeta_accelerated, kzeta_direct
 
 
@@ -48,7 +49,6 @@ _U = [0.3, 0.1]
     [
         ("direct theta", lambda f: theta_direct(f, _P, _U, 1e-4, shell_cap=3)),
         ("transformed theta", lambda f: theta_transformed(f, _P, _U, 100.0, shell_cap=3)),
-        ("direct zeta", lambda f: kzeta_direct(f, _P, _U, 3.0, shell_cap=3)),
         # a small split point leaves the direct piece slow, a large one the dual piece
         ("accelerated zeta (direct piece)", lambda f: kzeta_accelerated(f, _P, _U, 3.0, split_a=0.01, shell_cap=3)),
         ("accelerated zeta (dual piece)", lambda f: kzeta_accelerated(f, _P, _U, 3.0, split_a=50.0, shell_cap=3)),
@@ -59,9 +59,13 @@ def test_budget_exceeded_every_engine(what, call):
         call(_tau_i())
 
 
-def test_direct_zeta_fails_fast_off_lattice():
-    # the rank-4 power tail at s = 2.6 needs ~1e9 shells; the loop would
-    # allocate shells of ~6e7 points long before its cap stopped it
+def test_direct_zeta_fails_fast_off_lattice(monkeypatch):
+    # the rank-4 tail at s = 2.6 needs an ellipsoid of ~1e38 points; the
+    # budget is checked from the closed-form tail before anything is enumerated
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(zeta, "ellipsoid_chunks", no_enumeration)
     frame = SumLattice.euclidean(4)
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded):

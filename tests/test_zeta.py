@@ -102,6 +102,26 @@ def test_regime_agreement_randomized():
         assert abs(vd.scalar() - va.scalar()) / scale <= 1e-8, (rank, s, deg)
 
 
+@pytest.mark.parametrize("rank, scaled, offset", [(2, False, 1.0), (4, False, 2.0), (2, True, 1.0)])
+def test_direct_certificate_is_honest(rank, scaled, offset):
+    # loose tolerances make the truncation error visible next to the bound;
+    # the scaled frame has |y|^2 = 4 Q(y), which the polynomial bound must carry
+    rng = random.Random(100 + rank)
+    if scaled:
+        frame = SumLattice.euclidean(rank, 0.25 * np.eye(rank))
+    else:
+        frame = SumLattice.from_abelian(random_abelian_data(rng, rank), "dual")
+    quad = {(2,) + (0,) * (rank - 1): [1.0], (1, 1) + (0,) * (rank - 2): [0.5j]}
+    for P in (VectorPolynomial.constant(1.0, rank), VectorPolynomial(rank, quad)):
+        for u in ([0.0] * rank, [rng.randrange(8) / 8 + 1 / 16 for _ in range(rank)]):
+            s = (rank + P.degree) / 2 + offset + rng.random()
+            ref = kzeta_accelerated(frame, P, u, s, tol=1e-13).value
+            for tol in (1e-3, 1e-6):
+                vd = kzeta_direct(frame, P, u, s, tol=tol)
+                assert vd.error_bound <= tol
+                assert vd.error_bound >= np.max(np.abs(vd.value - ref)) - 1e-13, (P.degree, u, s, tol)
+
+
 def test_character_shift_invariance(tau_i_frame):
     P = VectorPolynomial.constant(1.0, 2)
     a = kzeta_accelerated(tau_i_frame, P, [0.25, 0.4], 1.5, tol=1e-12)
