@@ -57,9 +57,6 @@ def emit(record, out=None):
     (out or sys.stdout).write(json.dumps(record, sort_keys=True, default=_json_default) + "\n")
 
 
-EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
-
-
 def positive(text):
     """argparse type for an option that must be > 0; a ConfigError (exit 2) otherwise."""
     value = float(text)
@@ -80,20 +77,16 @@ def _input(parse):
     return wrapped
 
 
-def _coords(vec, rank, text):
-    if rank is not None and len(vec) != rank:
-        raise ConfigError(f"expected {rank} coordinates, got {len(vec)} in {text!r}")
+@_input
+def parse_rational_vector(text, rank):
+    vec = [Fraction(x) for x in text.split(",")]
+    if len(vec) != rank:
+        raise ValueError(f"expected {rank} coordinates, got {len(vec)}")
     return vec
 
 
-@_input
-def parse_vector(text, rank=None):
-    return _coords([float(Fraction(x)) if "/" in x else float(x) for x in text.split(",")], rank, text)
-
-
-@_input
-def parse_rational_vector(text, rank=None):
-    return _coords([Fraction(x) for x in text.split(",")], rank, text)
+def parse_vector(text, rank):
+    return [float(x) for x in parse_rational_vector(text, rank)]
 
 
 @_input
@@ -128,32 +121,6 @@ def poly_spec(P):
     }
 
 
-def _frame_inputs(args, u_default=0.0):
-    """Config, summation frame, polynomial and torus point of a theta/zeta command."""
-    cfg = load_config(args.config)
-    frame = cfg.frame(side=args.side)
-    P = parse_poly(args.p, frame.rank)
-    u = parse_vector(args.u, frame.rank) if args.u else [u_default] * frame.rank
-    return cfg, frame, P, u
-
-
-def _current_fields(cv):
-    return {
-        "components": {
-            f"{list(word)}|{list(ext)}": complex(v)
-            for (word, ext), v in sorted(cv.components.items())
-        },
-        "regime": cv.regime,
-        "error_bound": cv.error_bound,
-        "convention_metadata": cv.meta.get("convention"),
-    }
-
-
-def _grid(n, rank):
-    """Torus grid of the cell midpoints (i + 1/2) / n, n per axis."""
-    return [tuple((i + 0.5) / n for i in idx) for idx in np.ndindex(*([n] * rank))]
-
-
 def _theta_record(result, command, inputs):
     return {
         "command": command,
@@ -169,45 +136,56 @@ def cmd_lattice_info(args):
     cfg = load_config(args.config)
     if cfg.lattice_kind == "euclidean":
         frame = cfg.frame()
-        record = {
-            "kind": "euclidean",
-            "rank": frame.rank,
-            "gram_det": float(np.linalg.det(frame.gram)),
-        }
-        radius = 4.0 * frame.sigma_max
-    else:
-        data = cfg.data
-        frame = SumLattice.from_abelian(data, "primal")
-        kappa = dual_lattice(data).kappa
-        checks = {
-            "j_squared": "exact",
-            "e_alternating": True,
-            "positivity": True,
-            "kappa_equals_abs_det_e": kappa == abs(data.det_e()),
-        }
-        record = {
+        emit(
+            {
+                "command": "lattice info",
+                "kind": "euclidean",
+                "rank": frame.rank,
+                "gram_det": float(np.linalg.det(frame.gram)),
+                "min_nonzero_q": float(np.min(frame.q_values(enumerate_shell(frame, 4.0 * frame.sigma_max)))),
+            }
+        )
+        return 0
+    data = cfg.data
+    dl = dual_lattice(data)
+    shells = enumerate_shell(data, 4.0 * math.pi * data.d)
+    frame = SumLattice.from_abelian(data, "primal")
+    checks = {
+        "j_squared": "exact",
+        "e_alternating": True,
+        "positivity": True,
+        "kappa_equals_abs_det_e": dl.kappa == abs(data.det_e()),
+    }
+    emit(
+        {
+            "command": "lattice info",
             "kind": "abelian",
             "d": data.d,
-            "kappa": kappa,
+            "kappa": dl.kappa,
             "det_e": data.det_e(),
+            "min_nonzero_q": float(np.min(frame.q_values(shells))),
             "convention_checks": checks,
             "convention_metadata": CONVENTION_NOTE,
         }
-        radius = 4.0 * math.pi * data.d
-    q = frame.q_values(enumerate_shell(frame, radius))
-    emit({"command": "lattice info", "min_nonzero_q": float(np.min(q)), **record})
+    )
     return 0
 
 
 def cmd_theta_eval(args):
-    cfg, frame, P, u = _frame_inputs(args)
+    cfg = load_config(args.config)
+    frame = cfg.frame(side=args.side)
+    P = parse_poly(args.p, frame.rank)
+    u = parse_vector(args.u, frame.rank) if args.u else [0.0] * frame.rank
     res = theta_eval(frame, P, u, args.t, tol=cfg.tol(args.tol), mode=args.mode, threads=args.threads)
     emit(_theta_record(res, "theta eval", {"p": poly_spec(P), "t": args.t, "u": u, "mode": args.mode}))
     return 0
 
 
 def cmd_theta_check(args):
-    cfg, frame, P, u = _frame_inputs(args)
+    cfg = load_config(args.config)
+    frame = cfg.frame(side=args.side)
+    P = parse_poly(args.p, frame.rank)
+    u = parse_vector(args.u, frame.rank) if args.u else [0.0] * frame.rank
     # truncation certificates must sit well below the comparison threshold
     tol = min(cfg.tol(args.tol), args.threshold / 100.0)
     a = theta_direct(frame, P, u, args.t, tol=tol, threads=args.threads)
@@ -228,11 +206,15 @@ def cmd_theta_check(args):
 
 
 def cmd_zeta_eval(args):
-    cfg, frame, P, u = _frame_inputs(args)
+    cfg = load_config(args.config)
+    frame = cfg.frame(side=args.side)
+    P = parse_poly(args.p, frame.rank)
+    u = parse_vector(args.u, frame.rank) if args.u else [0.0] * frame.rank
     s = parse_complex(args.s)
+    mode = {"direct": "direct", "accel": "accel", "auto": "auto"}[args.mode]
     zv = kzeta(
         frame, P, u, s,
-        mode=args.mode,
+        mode=mode,
         split_a=cfg.split_a(args.split_a),
         tol=cfg.tol(args.tol),
         threads=args.threads,
@@ -250,7 +232,10 @@ def cmd_zeta_eval(args):
 
 
 def cmd_zeta_check(args):
-    cfg, frame, P, u = _frame_inputs(args, 1.0 / 3.0)
+    cfg = load_config(args.config)
+    frame = cfg.frame(side=args.side)
+    P = parse_poly(args.p, frame.rank)
+    u = parse_vector(args.u, frame.rank) if args.u else [1.0 / 3.0] * frame.rank
     s = parse_complex(args.s)
     tol = cfg.tol(args.tol)
     vals = {}
@@ -283,7 +268,10 @@ def cmd_zeta_scan(args):
     frame = cfg.frame(side=args.side)
     P = parse_poly(args.p, frame.rank)
     s = parse_complex(args.s)
-    grid = _grid(args.grid_n, frame.rank)
+    n = args.grid_n
+    grid = []
+    for idx in np.ndindex(*([n] * frame.rank)):
+        grid.append(tuple((i + 0.5) / n for i in idx))
     rows = smoothness_scan(frame, P, s, grid, fd_step=args.fd_step, tol=cfg.tol(args.tol))
     writer = csv.writer(sys.stdout)
     header = [f"u{i + 1}" for i in range(frame.rank)] + [
@@ -316,7 +304,13 @@ def cmd_current_eval(args):
             {
                 "command": "current eval",
                 "inputs": {"u": u, "grade": n},
-                **_current_fields(cv),
+                "components": {
+                    f"{list(word)}|{list(ext)}": complex(v)
+                    for (word, ext), v in sorted(cv.components.items())
+                },
+                "regime": cv.regime,
+                "error_bound": cv.error_bound,
+                "convention_metadata": cv.meta.get("convention"),
             }
         )
     return 0
@@ -326,10 +320,12 @@ def cmd_current_scan(args):
     cfg = load_config(args.config)
     if cfg.lattice_kind != "abelian":
         raise ConfigError("current scan needs abelian lattice data")
+    n = args.grid_n
     writer = csv.writer(sys.stdout)
     rank = cfg.data.rank
     writer.writerow([f"u{i + 1}" for i in range(rank)] + ["component", "value_re", "value_im"])
-    for u in _grid(args.grid_n, rank):
+    for idx in np.ndindex(*([n] * rank)):
+        u = tuple((i + 0.5) / n for i in idx)
         cv = g_grade(cfg.data, u, args.grade, tol=cfg.tol(args.tol), threads=args.threads)
         for (word, ext), v in sorted(cv.components.items()):
             writer.writerow(
@@ -352,7 +348,13 @@ def cmd_eisenstein_eval(args):
         {
             "command": "eisenstein eval",
             "inputs": {"torsion": [str(v) for v in x.u], "l": args.l, "order": x.order},
-            **_current_fields(cv),
+            "components": {
+                f"{list(word)}|{list(ext)}": complex(v)
+                for (word, ext), v in sorted(cv.components.items())
+            },
+            "regime": cv.regime,
+            "error_bound": cv.error_bound,
+            "convention_metadata": cv.meta.get("convention"),
         }
     )
     return 0
@@ -443,58 +445,68 @@ def build_parser():
     parser.add_argument("--threads", type=int, default=None, help="worker threads (default: POLYLAT_THREADS or 1)")
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def add(group_parser, name, fn, config=True, tol=True, frame=False):
+    def add(group_parser, name, fn, config=True):
         p = group_parser.add_parser(name)
         if config:
             p.add_argument("config")
-        if frame:  # theta and zeta commands sum over a frame of the config
-            p.add_argument("--p", default="1")
-            p.add_argument("--side", default="dual", choices=["dual", "primal"])
-        if config and tol:
-            p.add_argument("--tol", type=positive, default=None)
         p.set_defaults(fn=fn)
         return p
 
     lat = sub.add_parser("lattice").add_subparsers(dest="action", required=True)
-    add(lat, "info", cmd_lattice_info, tol=False)
+    add(lat, "info", cmd_lattice_info)
 
     th = sub.add_parser("theta").add_subparsers(dest="action", required=True)
     for name, fn in (("eval", cmd_theta_eval), ("check-transform", cmd_theta_check)):
-        p = add(th, name, fn, frame=True)
+        p = add(th, name, fn)
         p.add_argument("--t", type=positive, required=True)
         p.add_argument("--u", default=None)
+        p.add_argument("--p", default="1")
+        p.add_argument("--tol", type=positive, default=None)
+        p.add_argument("--side", default="dual", choices=["dual", "primal"])
         if name == "eval":
             p.add_argument("--mode", default="auto", choices=["auto", "direct", "transformed"])
         else:
             p.add_argument("--threshold", type=positive, default=1e-10)
 
     ze = sub.add_parser("zeta").add_subparsers(dest="action", required=True)
-    p = add(ze, "eval", cmd_zeta_eval, frame=True)
+    p = add(ze, "eval", cmd_zeta_eval)
     p.add_argument("--s", required=True, help="re,im")
     p.add_argument("--u", default=None)
+    p.add_argument("--p", default="1")
     p.add_argument("--A", dest="split_a", type=positive, default=None)
     p.add_argument("--mode", default="auto", choices=["direct", "accel", "auto"])
-    p = add(ze, "check", cmd_zeta_check, frame=True)
+    p.add_argument("--tol", type=positive, default=None)
+    p.add_argument("--side", default="dual", choices=["dual", "primal"])
+    p = add(ze, "check", cmd_zeta_check)
     p.add_argument("--s", required=True)
     p.add_argument("--u", default=None)
-    p = add(ze, "scan", cmd_zeta_scan, frame=True)
+    p.add_argument("--p", default="1")
+    p.add_argument("--tol", type=positive, default=None)
+    p.add_argument("--side", default="dual", choices=["dual", "primal"])
+    p = add(ze, "scan", cmd_zeta_scan)
     p.add_argument("--s", required=True)
+    p.add_argument("--p", default="1")
     p.add_argument("--grid-n", type=int, default=8)
     p.add_argument("--fd-step", type=positive, default=0.01)
+    p.add_argument("--tol", type=positive, default=None)
+    p.add_argument("--side", default="dual", choices=["dual", "primal"])
 
     cu = sub.add_parser("current").add_subparsers(dest="action", required=True)
     p = add(cu, "eval", cmd_current_eval)
     p.add_argument("--u", required=True)
     p.add_argument("--grade-max", type=int, default=None)
+    p.add_argument("--tol", type=positive, default=None)
     p = add(cu, "scan", cmd_current_scan)
     p.add_argument("--grade", type=int, default=2)
     p.add_argument("--grid-n", type=int, default=4)
+    p.add_argument("--tol", type=positive, default=None)
 
     ei = sub.add_parser("eisenstein").add_subparsers(dest="action", required=True)
     p = add(ei, "eval", cmd_eisenstein_eval)
     p.add_argument("--torsion", required=True, help="p1/N,p2/N,...")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--tol", type=positive, default=None)
 
     al = sub.add_parser("algebra").add_subparsers(dest="action", required=True)
     p = add(al, "verify", cmd_algebra_verify, config=False)
@@ -528,7 +540,7 @@ def main(argv=None):
     except BrokenPipeError:
         # the reader closed stdout early (`| head`): nothing more can be shown
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        return 141  # as a shell reports a writer killed by SIGPIPE
     except ConfigError as exc:
         emit({"error": exc.code, "message": str(exc)}, out=sys.stderr)
         return 2

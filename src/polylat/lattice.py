@@ -12,7 +12,6 @@ evaluation time.
 
 from dataclasses import dataclass
 from fractions import Fraction
-import itertools
 import math
 
 import numpy as np
@@ -381,39 +380,44 @@ def shell_point_count(rank, k):
     return (2 * k + 1) ** rank - (2 * k - 1) ** rank
 
 
-ENUM_CHUNK = 1 << 16  # points per chunk streamed by ellipsoid_chunks
+def ellipsoid_radius(gram, points):
+    """The largest R for which V_r (sqrt(R) + D)^r / sqrt(det G) <= points.
+
+    D = max sqrt(Q) over the corners of the cell [-1/2, 1/2]^r.  The
+    disjoint unit cells of the m with Q(m) <= R lie inside
+    sqrt(Q) <= sqrt(R) + D, so that ellipsoid holds at most `points` of them.
+    """
+    r = len(gram)
+    ball = math.pi ** (r / 2) / math.gamma(r / 2 + 1)
+    rho = (points * math.sqrt(np.linalg.det(gram)) / ball) ** (1 / r) - cell_radius(gram)
+    return max(rho, 0.0) ** 2
 
 
 def cell_radius(gram):
-    """D = max sqrt(Q) over the corners of the cell [-1/2, 1/2]^r, so every
-    point of the cell around m lies within D of m in the norm sqrt(Q)."""
-    corners = np.array(list(itertools.product((-0.5, 0.5), repeat=len(gram))))
+    """max sqrt(Q) over the corners of the cell [-1/2, 1/2]^r: every point of
+    the cell around m lies within it of m in the norm sqrt(Q)."""
+    corners = np.array(list(np.ndindex(*(2,) * len(gram)))) - 0.5
     return float(np.sqrt(np.max(np.einsum("ij,jk,ik->i", corners, gram, corners))))
 
 
-def ellipsoid_point_bound(gram, R):
-    """V_r (sqrt(R) + D)^r / sqrt(det G) >= #{m : Q(m) <= R}: the disjoint
-    unit cells of those points lie inside sqrt(Q) <= sqrt(R) + D."""
-    r = len(gram)
-    ball = math.pi ** (r / 2) / math.gamma(r / 2 + 1)
-    return ball * (math.sqrt(R) + cell_radius(gram)) ** r / math.sqrt(np.linalg.det(gram))
-
-
-def ellipsoid_chunks(gram, R, *, half=False, coords=True, chunk=ENUM_CHUNK):
+def ellipsoid_chunks(gram, R, *, half=False, coords=True, chunk=1 << 16):
     """Fincke-Pohst enumeration of the integer m with Q(m) = m^T G m <= R.
 
-    Yields (ms, q) in lexicographic order of m, about `chunk` points at a
+    Yields (ms, q) in lexicographic order of m, at most `chunk` points at a
     time: the integer rows (None if not coords, to save their cost) and
     their Q values.  Every point with Q <= R is emitted (bounds carry a
-    1e-9 relative margin for rounding), perhaps with a few just outside.  With half=True the first nonzero coordinate is > 0:
-    one point of each pair +-m, never the origin.
+    1e-9 relative margin for rounding), perhaps with a few just outside.
+    With half=True the first nonzero coordinate is > 0: one point of each
+    pair +-m, never the origin.
 
     With G = U U^T, U upper triangular, Q(m) = sum_i (sum_{j<=i} U_ji m_j)^2
     and the i-th term depends on m_0..m_i only, so each prefix m_0..m_{i-1}
-    confines m_i to an interval.
+    confines m_i to an interval; every level is streamed in pieces of at
+    most `chunk` points.
     """
     upper = np.linalg.cholesky(np.asarray(gram, dtype=float)[::-1, ::-1])[::-1, ::-1]
     R = R * (1 + 1e-9)
+    ramp = np.arange(chunk, dtype=float)
 
     def extend(pre, part):  # prefixes with their partial sums of Q, one coordinate more
         k = pre.shape[1]
@@ -427,18 +431,15 @@ def ellipsoid_chunks(gram, R, *, half=False, coords=True, chunk=ENUM_CHUNK):
             lo[zero] = np.maximum(lo[zero], 1.0 if last else 0.0)
         cnt = np.maximum(np.floor(center + width) - lo + 1, 0).astype(np.int64)
         ends = np.cumsum(cnt)
+        starts = ends - cnt
         base = diag * lo + shift  # the k-th term's root at m_k = lo
-        ramp = np.arange(min(int(ends[-1]), chunk), dtype=float)
-        i = 0
-        while i < len(cnt):  # consecutive prefixes adding up to about chunk points
-            before = int(ends[i - 1]) if i else 0
-            j = max(int(np.searchsorted(ends, before + chunk, side="right")), i + 1)
-            c, total = cnt[i:j], int(ends[j - 1]) - before
-            if total > len(ramp):
-                ramp = np.arange(total, dtype=float)
+        for a in range(0, int(ends[-1]), chunk):  # the level's points a .. b-1
+            b = min(a + chunk, int(ends[-1]))
+            i, j = np.searchsorted(ends, a, "right"), np.searchsorted(starts, b)
+            c = np.minimum(ends[i:j], b) - np.maximum(starts[i:j], a)
             # q is built in place from m_k - lo (exact), so the root
             # diag * (m_k - lo) + base suffers no cancellation
-            q = ramp[:total] - np.repeat((ends[i:j] - c - before).astype(float), c)
+            q = ramp[: b - a] - np.repeat((starts[i:j] - a).astype(float), c)
             ms = None
             if coords or not last:
                 m_k = (np.repeat(lo[i:j], c) + q).astype(np.int64)
@@ -449,9 +450,8 @@ def ellipsoid_chunks(gram, R, *, half=False, coords=True, chunk=ENUM_CHUNK):
             q += np.repeat(part[i:j], c)
             if last:
                 yield ms, q
-            elif total:
+            else:
                 yield from extend(ms, q)
-            i = j
 
     yield from extend(np.zeros((1, 0), dtype=np.int64), np.zeros(1))
 
@@ -459,8 +459,8 @@ def ellipsoid_chunks(gram, R, *, half=False, coords=True, chunk=ENUM_CHUNK):
 def enumerate_shell(data_or_frame, R, side="primal", cap=2_000_000):
     """All lattice vectors with 0 < Q(l) <= R, lexicographic, certified complete.
 
-    The Fincke-Pohst enumeration runs only once its point-count bound is
-    within cap (else ShellTooLarge).
+    The Fincke-Pohst enumeration runs only once R is within the
+    ellipsoid_radius of cap points (else ShellTooLarge).
     """
     if R <= 0:
         raise ValueError("R must be positive")
@@ -468,11 +468,9 @@ def enumerate_shell(data_or_frame, R, side="primal", cap=2_000_000):
         frame = data_or_frame
     else:
         frame = SumLattice.from_abelian(data_or_frame, side=side)
-    bound = ellipsoid_point_bound(frame.gram, R)
-    if bound > cap:
-        raise ShellTooLarge(f"ellipsoid holds up to {bound:.3g} points (cap {cap})")
-    chunks = [ms for ms, _q in ellipsoid_chunks(frame.gram, R)]
-    ms = np.vstack(chunks) if chunks else np.zeros((0, frame.rank), dtype=np.int64)
+    if R > ellipsoid_radius(frame.gram, cap):
+        raise ShellTooLarge(f"R = {R:.6g} is beyond the radius whose ellipsoid certainly holds {cap} points")
+    ms = np.vstack([ms for ms, _q in ellipsoid_chunks(frame.gram, R)])  # the origin at least
     q = frame.q_values(ms)
     return ms[(q > 0) & (q <= R * (1 + 1e-12))]
 

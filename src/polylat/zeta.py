@@ -25,7 +25,7 @@ from .errors import (
     ZeroSectionSingularity,
 )
 from .incgamma import upper_gamma
-from .lattice import ENUM_CHUNK, SNAP_TOL, box_shell, cell_radius, ellipsoid_chunks, ellipsoid_point_bound
+from .lattice import SNAP_TOL, box_shell, cell_radius, ellipsoid_chunks, ellipsoid_radius
 from .polygauss import gaussian_ft
 from .sums import CompensatedSum, certified_sum, gaussian_tail, power_tail
 
@@ -51,44 +51,22 @@ def converges_directly(P, s, rank):
     return 2.0 * complex(s).real - P.degree > rank
 
 
-def _direct_radius(frame, P, s_re, tol, budget):
-    """Smallest R (to bisection precision) whose tail beyond Q > R is <= tol.
-
-    Returns (R, tail), or None when the ellipsoid Q <= R would exceed
-    `budget` points.  Solved from the closed-form tail before any sum.
-    """
-    gram = frame.gram
-    sqrt_det = math.sqrt(float(np.linalg.det(gram)))
-    D = cell_radius(gram)
+def _direct_tail(frame, P, s_re):
+    """R -> the closed-form bound on sum over Q(l) > R of |P(l)| Q(l)^{-s_re}."""
     # |y|^2 <= Q / lambda_min(M) for y = B m, so |y^alpha| <= (Q / lambda_min)^{|alpha|/2}
     grow = 1.0 / math.sqrt(float(np.linalg.eigvalsh(frame.q_mat)[0]))
     amps = [0.0] * (P.degree + 1)
     for alpha, vec in P.coeffs.items():
         amps[sum(alpha)] += float(np.max(np.abs(vec))) * grow ** sum(alpha)
-
-    def tail(tau):
-        return power_tail(
-            (tau + 2 * D) ** 2, rank=frame.rank, sqrt_det=sqrt_det, cell_radius=D, s_re=s_re, amps=amps
-        )
-
-    # R = (tau + 2D)^2; the tail falls and the point bound grows with tau
-    lo, hi = 0.0, 1.0
-    while tail(hi) > tol:
-        if ellipsoid_point_bound(gram, (hi + 2 * D) ** 2) > budget:
-            return None
-        lo, hi = hi, 2.0 * hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if tail(mid) <= tol else (mid, hi)
-    R = (hi + 2 * D) ** 2
-    return (R, tail(hi)) if ellipsoid_point_bound(gram, R) <= budget else None
+    sqrt_det, D = math.sqrt(np.linalg.det(frame.gram)), cell_radius(frame.gram)
+    return lambda R: power_tail(R, rank=frame.rank, sqrt_det=sqrt_det, cell_radius=D, s_re=s_re, amps=amps)
 
 
 def kzeta_direct(frame, P, u, s, tol=1e-10):
     """Sum over the ellipsoid Q(l) <= R in the absolute-convergence region.
 
-    R is solved from the integral-comparison tail before summing and its
-    point count checked against POINT_BUDGET.  Each pair l, -l is summed
+    R is solved from the integral-comparison tail before summing, within
+    the ellipsoid_radius of POINT_BUDGET points.  Each pair l, -l is summed
     once: chi(-l) = conj chi(l), Q(-l) = Q(l) and P is evaluated at -l.
     """
     s = complex(s)
@@ -96,30 +74,30 @@ def kzeta_direct(frame, P, u, s, tol=1e-10):
         raise NotAbsolutelyConvergent(
             f"need 2 Re(s) - deg P > {frame.rank}, got s={s}, deg={P.degree}"
         )
-    plan = _direct_radius(frame, P, s.real, tol, POINT_BUDGET)
-    if plan is None:
+    tail = _direct_tail(frame, P, s.real)
+    # the tail falls as R grows: bisect sqrt(R) for the smallest R with tail <= tol
+    lo, hi = 0.0, math.sqrt(ellipsoid_radius(frame.gram, POINT_BUDGET))
+    if tail(hi * hi) > tol:
         raise BudgetExceeded(f"direct zeta: no certified tail <= {tol} within {POINT_BUDGET:.3g} points")
-    R, bound = plan
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if tail(mid * mid) <= tol else (mid, hi)
     h = frame.reduce_point(u)
     phase = frame.phase_data(u)
     trivial = not np.any(h)  # every character is 1
     constant = P.degree == 0
     acc = CompensatedSum(1 if constant else P.target_dim)
-    chunk = max(ENUM_CHUNK // P.target_dim, 1024)  # bounds the (points x components) arrays
-    for ms, q in ellipsoid_chunks(frame.gram, R, half=True, coords=not (trivial and constant), chunk=chunk):
+    for ms, q in ellipsoid_chunks(frame.gram, hi * hi, half=True, coords=not (trivial and constant)):
         w = q ** -s.real if s.imag == 0 else np.exp(-s * np.log(q))
-        chi = None
         if not trivial:
             chi = frame.char_values(ms, h) if phase is None else frame.char_values_exact(ms, *phase)
         if constant:
             acc.add(w.sum() if trivial else w @ chi.real)
-            continue
-        y = frame.points(ms)
-        plus, minus = P.evaluate_many(y), P.evaluate_many(-y)
-        pair = plus + minus if trivial else chi[:, None] * plus + chi.conj()[:, None] * minus
-        acc.add(w @ pair)
+        else:
+            y, c = frame.points(ms), 1.0 if trivial else chi[:, None]
+            acc.add(w @ (c * P.evaluate_many(y) + np.conj(c) * P.evaluate_many(-y)))
     value = 2.0 * acc.value[0] * P.value_at_zero() if constant else acc.value
-    return ZetaValue(value=value, s=s, regime="direct", error_bound=float(bound))
+    return ZetaValue(value=value, s=s, regime="direct", error_bound=float(tail(hi * hi)))
 
 
 def kzeta_accelerated(
@@ -294,13 +272,13 @@ def _gamma_weighted_dual(frame, gf, by_tpow, rhos, h, A, tol, shell_cap, threads
 def kzeta(frame, P, u, s, mode="auto", split_a=1.0, tol=1e-10, threads=None):
     """Dispatch between the direct and accelerated regimes.
 
-    `auto` picks the direct sum only when its certified ellipsoid holds at
-    most AUTO_DIRECT_POINTS points; otherwise the continuation (which
+    `auto` picks the direct sum only when its tail certifies tol within the
+    ellipsoid_radius of AUTO_DIRECT_POINTS points; otherwise the continuation (which
     agrees wherever both converge) is used.
     """
     if mode == "auto":
         cheap = converges_directly(P, s, frame.rank) and (
-            _direct_radius(frame, P, complex(s).real, tol, AUTO_DIRECT_POINTS) is not None
+            _direct_tail(frame, P, complex(s).real)(ellipsoid_radius(frame.gram, AUTO_DIRECT_POINTS)) <= tol
         )
         mode = "direct" if cheap else "accel"
     if mode == "direct":

@@ -14,7 +14,7 @@ from polylat import (
     hodge_split,
     q_form,
 )
-from polylat.lattice import cell_radius, ellipsoid_chunks, ellipsoid_point_bound
+from polylat.lattice import cell_radius, ellipsoid_chunks, ellipsoid_radius
 from polylat.errors import (
     ConventionViolation,
     NotInDualLattice,
@@ -140,11 +140,18 @@ def test_enumerate_shell_complete_bruteforce():
         assert got.tolist() == expect.tolist()
 
 
-def test_ellipsoid_chunks_half_lattice_and_chunking():
-    gram = SumLattice.from_abelian(PolarizedAbelianData.from_tau(Fraction(1, 2), Fraction(3, 2)), "dual").gram
-    full = np.vstack([ms for ms, _q in ellipsoid_chunks(gram, 40.0)])
-    pieces = list(ellipsoid_chunks(gram, 40.0, half=True, chunk=5))
-    assert all(len(q) <= 5 or len(set(map(tuple, ms[:, :-1].tolist()))) == 1 for ms, q in pieces)
+@pytest.mark.parametrize(
+    "gram, R",
+    [
+        (SumLattice.from_abelian(PolarizedAbelianData.from_tau(Fraction(1, 2), Fraction(3, 2)), "dual").gram, 40.0),
+        # rank 1 has a single (empty) prefix, whose interval must still be cut into chunks
+        (np.array([[0.25]]), 400.0),
+    ],
+)
+def test_ellipsoid_chunks_half_lattice_and_chunking(gram, R):
+    full = np.vstack([ms for ms, _q in ellipsoid_chunks(gram, R)])
+    pieces = list(ellipsoid_chunks(gram, R, half=True, chunk=5))
+    assert all(len(q) <= 5 and len(ms) == len(q) for ms, q in pieces)
     half = np.vstack([ms for ms, _q in pieces])
     q = np.concatenate([q for _ms, q in pieces])
     assert np.allclose(q, np.einsum("ij,jk,ik->i", half, gram, half), rtol=1e-12)
@@ -153,14 +160,16 @@ def test_ellipsoid_chunks_half_lattice_and_chunking():
     pairs = {tuple(v) for v in half.tolist()} | {tuple(v) for v in (-half).tolist()}
     assert len(pairs) == 2 * len(half)
     assert pairs == {tuple(v) for v in full.tolist() if any(v)}
-    assert [None] * len(pieces) == [ms for ms, _q in ellipsoid_chunks(gram, 40.0, half=True, coords=False, chunk=5)]
+    assert [None] * len(pieces) == [ms for ms, _q in ellipsoid_chunks(gram, R, half=True, coords=False, chunk=5)]
 
 
-def test_ellipsoid_point_bound_covers_count():
-    for gram in (np.eye(2), np.array([[2.0, 1.9], [1.9, 2.0]]), np.diag([1.0, 4.0, 9.0, 0.5])):
-        for R in (0.3, 5.0, 60.0):
+def test_ellipsoid_radius_covers_count():
+    for gram in (np.eye(2), np.array([[2.0, 1.9], [1.9, 2.0]]), np.diag([1.0, 4.0, 9.0, 0.5]), np.array([[3.0]])):
+        for points in (5, 100, 5000):
+            R = ellipsoid_radius(gram, points)
             count = sum(int(np.sum(q <= R)) for _ms, q in ellipsoid_chunks(gram, R))
-            assert count <= ellipsoid_point_bound(gram, R)
+            assert count <= points
+    assert ellipsoid_radius(np.eye(2), 1) == 0.0
     assert cell_radius(np.eye(2)) == pytest.approx(math.sqrt(0.5))
 
 
