@@ -65,6 +65,18 @@ def positive(text):
     return value
 
 
+def at_least(lo):
+    """argparse type for an integer option that must be >= lo; a ConfigError (exit 2) otherwise."""
+
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise ConfigError(f"expected an integer >= {lo}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _input(parse):
     """Report malformed input to a parse helper as a ConfigError, not a traceback."""
 
@@ -510,10 +522,10 @@ def build_parser():
 
     al = sub.add_parser("algebra").add_subparsers(dest="action", required=True)
     p = add(al, "verify", cmd_algebra_verify, config=False)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--hdim", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=5)
+    p.add_argument("--m", type=at_least(1), default=2)
+    p.add_argument("--n", type=at_least(0), default=4)
+    p.add_argument("--hdim", type=at_least(1), default=2)
+    p.add_argument("--nmax", type=at_least(0), default=5)
 
     bm = sub.add_parser("bm").add_subparsers(dest="action", required=True)
     p = add(bm, "verify", cmd_bm_verify, config=False)

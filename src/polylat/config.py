@@ -104,6 +104,13 @@ def load_config(path):
     if lat is None:
         raise ConfigError("missing [lattice] section")
     defaults = sections.get("defaults", {})
+    for key in ("tol", "split_a", "A"):
+        try:
+            ok = 0 < float(defaults.get(key, 1.0)) < float("inf")
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"[defaults] {key} must be a positive number, got {defaults[key]!r}")
     if lat.get("mode") == "euclidean":
         rank = int(lat.get("rank", 0))
         if rank < 1:

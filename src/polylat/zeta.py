@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     BudgetExceeded,
@@ -24,7 +23,7 @@ from .errors import (
     PoleAtS,
     ZeroSectionSingularity,
 )
-from .incgamma import upper_gamma
+from .incgamma import rgamma, upper_gamma
 from .lattice import SNAP_TOL, box_shell, cell_radius, ellipsoid_chunks, ellipsoid_radius
 from .polygauss import gaussian_ft
 from .sums import CompensatedSum, certified_sum, gaussian_tail, power_tail
@@ -107,7 +106,7 @@ def kzeta_accelerated(
     s = complex(s)
     A = float(split_a)
     total, tail = _gamma_k(frame, P, u, s, A, tol / 4, shell_cap, threads)
-    rg = complex(special.rgamma(s))
+    rg = rgamma(s)
     return ZetaValue(
         value=total * rg, s=s, regime="accelerated", error_bound=float(tail * abs(rg)), split_a=A
     )

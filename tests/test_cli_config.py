@@ -208,14 +208,34 @@ def test_cli_current_and_eisenstein(tmp_path):
         ["zeta", "eval", "CFG", "--s", "3,0", "--tol", "0"],
         ["zeta", "eval", "CFG", "--s", "3,0", "--mode", "accel", "--A", "0"],
         ["theta", "check-transform", "CFG", "--t", "0.7", "--threshold", "0"],
+        ["algebra", "verify", "--m", "0"],
+        ["algebra", "verify", "--n", "-1"],
+        ["algebra", "verify", "--hdim", "-1"],
+        ["algebra", "verify", "--nmax", "-1"],
     ],
-    ids=lambda argv: " ".join(argv[3:]),
+    ids=lambda argv: " ".join(a for a in argv[2:] if a != "CFG"),
 )
 def test_cli_malformed_input_exit2(tmp_path, capsys, argv):
     path = write(tmp_path, "a.cfg", TAU_I)
     assert main([path if a == "CFG" else a for a in argv]) == 2
     rec = json.loads(capsys.readouterr().err)
     assert rec["error"] == "CONFIG_ERROR"
+
+
+@pytest.mark.parametrize("line", ["tol = 0", "tol = -1e-10", "split_a = 0", "A = -2", 'tol = "abc"', "split_a = [1]"])
+def test_config_bad_defaults_exit2(tmp_path, capsys, line):
+    path = write(tmp_path, "a.cfg", TAU_I.replace("tol = 1e-10", line))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["zeta", "eval", path, "--s", "3,0", "--mode", "accel"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_ERROR"
+
+
+def test_cli_import_leaves_scipy_out():
+    # a cold CLI command must not pay for importing scipy
+    code = "import polylat.cli, sys; assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_closed_stdout_exit_code(tmp_path):

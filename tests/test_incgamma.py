@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from polylat.incgamma import upper_gamma, upper_gamma_bound
+from polylat.incgamma import exp1, gamma, rgamma, upper_gamma, upper_gamma_bound
 
 
 def mp_reference(a, x):
@@ -52,3 +52,35 @@ def test_bound_is_valid():
         x = float(10 ** rng.uniform(-2, 2.3))
         val = abs(upper_gamma(complex(p, rng.uniform(-2, 2)), x))
         assert val <= upper_gamma_bound(p, x) * (1 + 1e-12), (p, x)
+
+
+# Re z in [-10, 15], |Im z| <= 10, plus points within 1e-6 of the poles
+_GAMMA_GRID = [
+    complex(re, im)
+    for re in [x / 4 for x in range(-40, 61)] + [-k + d for k in range(11) for d in (1e-6, -1e-6, 1e-7, -3e-9)]
+    for im in [0.0, 1e-7, -1e-6, 0.3, -1.7, 5.0, -10.0, 10.0]
+    if not (im == 0.0 and re <= 0 and re == int(re))
+]
+
+
+def test_gamma_and_rgamma_against_mpmath():
+    mp.mp.dps = 30
+    for z in _GAMMA_GRID:
+        ref = mp.gamma(mp.mpc(z.real, z.imag))
+        assert abs(gamma(z) - ref) <= 5e-14 * abs(ref), z
+        assert abs(rgamma(z) - 1 / ref) <= 5e-14 / abs(ref), z
+
+
+def test_rgamma_vanishes_at_poles():
+    for k in range(12):
+        assert rgamma(-k) == 0
+        assert rgamma(complex(-k, 0.0)) == 0
+        with pytest.raises(ValueError):
+            gamma(-k)
+
+
+def test_exp1_against_mpmath():
+    mp.mp.dps = 30
+    for x in list(np.geomspace(1e-8, 700.0, 300)) + [1.0, math.nextafter(1.0, 2.0), 1.5]:
+        ref = mp.e1(float(x))
+        assert abs(exp1(float(x)) - ref) <= 1e-14 * ref, x
