@@ -452,6 +452,10 @@ def cmd_suite_run(args):
     return 0 if failures == 0 else 1
 
 
+# argparse takes "-1,0" for an option, so a negative real part needs the = form
+S_HELP = "re,im; write a negative real part as --s=-1,0"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="polylat", description=__doc__)
     parser.add_argument("--threads", type=int, default=None, help="worker threads (default: POLYLAT_THREADS or 1)")
@@ -482,7 +486,7 @@ def build_parser():
 
     ze = sub.add_parser("zeta").add_subparsers(dest="action", required=True)
     p = add(ze, "eval", cmd_zeta_eval)
-    p.add_argument("--s", required=True, help="re,im")
+    p.add_argument("--s", required=True, help=S_HELP)
     p.add_argument("--u", default=None)
     p.add_argument("--p", default="1")
     p.add_argument("--A", dest="split_a", type=positive, default=None)
@@ -490,13 +494,13 @@ def build_parser():
     p.add_argument("--tol", type=positive, default=None)
     p.add_argument("--side", default="dual", choices=["dual", "primal"])
     p = add(ze, "check", cmd_zeta_check)
-    p.add_argument("--s", required=True)
+    p.add_argument("--s", required=True, help=S_HELP)
     p.add_argument("--u", default=None)
     p.add_argument("--p", default="1")
     p.add_argument("--tol", type=positive, default=None)
     p.add_argument("--side", default="dual", choices=["dual", "primal"])
     p = add(ze, "scan", cmd_zeta_scan)
-    p.add_argument("--s", required=True)
+    p.add_argument("--s", required=True, help=S_HELP)
     p.add_argument("--p", default="1")
     p.add_argument("--grid-n", type=int, default=8)
     p.add_argument("--fd-step", type=positive, default=0.01)

@@ -55,6 +55,10 @@ class PoleAtS(PolylatError):
     code = "POLE_AT_S"
 
 
+class GammaOverflow(PolylatError):
+    code = "GAMMA_OVERFLOW"
+
+
 class GridTouchesZeroSection(PolylatError):
     code = "GRID_TOUCHES_ZERO_SECTION"
 

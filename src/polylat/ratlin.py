@@ -1,10 +1,12 @@
 """Small exact linear algebra over Fraction matrices (lists of lists).
 
 Matrices here are tiny (rank <= 8), so plain Gaussian elimination with
-exact rational pivots is both fast enough and certifiable.
+exact rational pivots is both fast enough and certifiable; the rank test,
+which also sees the larger psi matrices, eliminates fraction-free on ints.
 """
 
 from fractions import Fraction
+import math
 
 
 def frac_matrix(rows):
@@ -91,23 +93,32 @@ def inverse(a):
 
 
 def rank(a):
-    """Exact rank over the rationals."""
-    if not a:
+    """Exact rank over the rationals by fraction-free (Bareiss) elimination.
+
+    Each row is first scaled by the lcm of its denominators, which keeps
+    the rank, so int and Fraction input both run on Python ints.  Every
+    update is a 2x2 minor divided by the previous pivot; by Sylvester's
+    identity that division is exact (Bareiss, Math. Comp. 22, 1968), so
+    the entries stay minors of the input and never turn into fractions.
+    """
+    m = []
+    for row in a:
+        den = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    if not m:
         return 0
-    m = [row[:] for row in a]
     nrows, ncols = len(m), len(m[0])
-    r = 0
+    r, prev = 0, 1
     for col in range(ncols):
         piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        top, p = m[r], m[r][col]
+        for i in range(r + 1, nrows):
+            f = m[i][col]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
         r += 1
         if r == nrows:
             break

@@ -206,18 +206,15 @@ def _psi_on_group_element(m, n, beta):
 
     cls(X^beta) = 1 + sum beta_i Y_i with coordinates on the basis
     (1, Y_1, ..., Y_m); the n-th symmetric power expands multinomially on
-    sorted words.
+    sorted words, so every coefficient is an integer: n! / prod(count!)
+    times prod(beta_i ** count_i).
     """
-    coords = [Fraction(1)] + [Fraction(b) for b in beta]
+    coords = (1, *beta)
     out = {}
     for word in itertools.combinations_with_replacement(range(m + 1), n):
-        coef = Fraction(math.factorial(n))
-        counts = {}
-        for letter in word:
-            counts[letter] = counts.get(letter, 0) + 1
-        for letter, cnt in counts.items():
-            coef /= math.factorial(cnt)
-            coef *= coords[letter] ** cnt
+        counts = [(letter, word.count(letter)) for letter in set(word)]
+        coef = math.factorial(n) // math.prod(math.factorial(c) for _l, c in counts)
+        coef *= math.prod(coords[letter] ** c for letter, c in counts)
         if coef:
             out[word] = coef
     return out
@@ -228,7 +225,7 @@ def psi_n_matrix(m, n):
 
     Source basis: Y-monomials of degree <= n (ordered by degree then lex);
     target basis: sorted words of length n over (1, Y_1..Y_m).  Returns
-    (matrix, source_basis, target_basis, bijective).
+    (matrix, source_basis, target_basis, bijective); the entries are ints.
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1, n >= 0")
@@ -239,16 +236,21 @@ def psi_n_matrix(m, n):
     source = _monomials_upto(m, n)
     target = sym_words(m + 1, n)
     tindex = {w: i for i, w in enumerate(target)}
+    # (X-1)^alpha only reaches X^beta with beta <= alpha, so |beta| <= n:
+    # one psi image per source monomial serves every column
+    images = {
+        beta: [(tindex[w], c) for w, c in _psi_on_group_element(m, n, beta).items()]
+        for beta in source
+    }
     cols = []
     for alpha in source:
         # Y^alpha = prod (X_i - 1)^{alpha_i} expanded into group elements
-        col = [Fraction(0)] * len(target)
+        col = [0] * len(target)
         for beta, coef in _y_monomial_as_group_sum(alpha):
-            img = _psi_on_group_element(m, n, beta)
-            for w, c in img.items():
-                col[tindex[w]] += coef * c
+            for i, c in images[beta]:
+                col[i] += coef * c
         cols.append(col)
-    matrix = [[cols[j][i] for j in range(len(source))] for i in range(len(target))]
+    matrix = [list(row) for row in zip(*cols)]
     bijective = len(source) == len(target) and ratlin.rank(matrix) == len(source)
     return matrix, source, target, bijective
 
@@ -270,10 +272,10 @@ def _y_monomial_as_group_sum(alpha):
     """(X-1)^alpha as an integer combination of group elements X^beta."""
     per_axis = []
     for a in alpha:
-        per_axis.append([(j, Fraction(math.comb(a, j) * (-1) ** (a - j))) for j in range(a + 1)])
+        per_axis.append([(j, math.comb(a, j) * (-1) ** (a - j)) for j in range(a + 1)])
     for combo in itertools.product(*per_axis):
         beta = tuple(j for j, _c in combo)
-        coef = Fraction(1)
+        coef = 1
         for _j, c in combo:
             coef *= c
         yield beta, coef

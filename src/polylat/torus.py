@@ -226,16 +226,17 @@ class FourierForm:
 def exterior_d(f):
     """d(chi dx^I w) = chi * iota * sum_i E(l', e_i) dx^i ^ dx^I (x) w."""
     out = FourierForm(f.data, f.trunc)
-    et = ratlin.transpose(ratlin.frac_matrix(f.data.E))
+    # E(l', e_i) = sum_j l'_j E[j][i]: the nonzero integers of column i of E
+    et = [[(j, e) for j, e in enumerate(col) if e] for col in zip(*f.data.E)]
     for (char, ext, word), coef in f.terms.items():
         if all(x == 0 for x in char):
             continue
-        pair = ratlin.mat_vec(et, list(char))  # (B^T l')_i = E(l', e_i)
-        for i, p in enumerate(pair):
-            if p == 0:
-                continue
+        for i, col in enumerate(et):
             new_ext, sign = _merge_wedge(i, ext)
             if new_ext is None:
+                continue
+            p = sum(e * char[j] for j, e in col)
+            if p == 0:
                 continue
             out._accumulate(
                 (char, new_ext, word), coef * ExactScalar.from_rational(sign * p, 0, 1)

@@ -11,6 +11,7 @@ The split point A is analytically irrelevant, which is itself a test
 surface.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 import math
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    GammaOverflow,
     GridTouchesZeroSection,
     NotAbsolutelyConvergent,
     PoleAtS,
@@ -105,8 +107,9 @@ def kzeta_accelerated(
     """Analytic continuation by the split-Mellin / incomplete-gamma assembly."""
     s = complex(s)
     A = float(split_a)
-    total, tail = _gamma_k(frame, P, u, s, A, tol / 4, shell_cap, threads)
-    rg = rgamma(s)
+    with _double_range(s):
+        total, tail = _gamma_k(frame, P, u, s, A, tol / 4, shell_cap, threads)
+        rg = rgamma(s)
     return ZetaValue(
         value=total * rg, s=s, regime="accelerated", error_bound=float(tail * abs(rg)), split_a=A
     )
@@ -118,7 +121,24 @@ def kzeta_gamma_product(frame, P, u, s, split_a=1.0, tol=1e-10, threads=None):
     For u outside the base lattice every piece is entire in s, which the
     suite checks through a Cauchy-integral reconstruction on a small circle.
     """
-    return _gamma_k(frame, P, u, complex(s), float(split_a), tol / 2, DEFAULT_SHELL_CAP, threads)[0]
+    with _double_range(s):
+        return _gamma_k(frame, P, u, complex(s), float(split_a), tol / 2, DEFAULT_SHELL_CAP, threads)[0]
+
+
+@contextmanager
+def _double_range(s):
+    """Report a Gamma factor beyond double range as GammaOverflow, not a traceback.
+
+    The assembly needs Gamma(s) and Gamma(r/2 + m - s); for |Re s| past
+    about 171 one of them overflows (math.gamma) or its reciprocal
+    underflows to 0 (complex s).
+    """
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):
+        raise GammaOverflow(
+            f"accelerated zeta: a Gamma factor at s = {s} is outside double range"
+        ) from None
 
 
 def _gamma_k(frame, P, u, s, A, piece_tol, shell_cap, threads):

@@ -256,6 +256,26 @@ def test_cli_closed_stdout_exit_code(tmp_path):
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("s", ["200,0", "200,1", "-200,0"])
+def test_cli_gamma_overflow_exit1(tmp_path, s):
+    path = write(tmp_path, "a.cfg", TAU_I)
+    proc = run_cli("zeta", "eval", path, f"--s={s}", "--mode", "accel")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "GAMMA_OVERFLOW"
+
+
+def test_cli_negative_real_s(tmp_path, capsys):
+    path = write(tmp_path, "a.cfg", TAU_I)
+    proc = run_cli("zeta", "eval", path, "--s=-1,0", "--mode", "accel")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["inputs"]["s"] == {"im": 0.0, "re": -1.0}
+    # without the = form argparse takes "-1,0" for an option (README CLI notes)
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "eval", path, "--s", "-1,0", "--mode", "accel"])
+    assert exc.value.code == 2
+
+
 def test_cli_eisenstein_zero_section_exit1(tmp_path):
     path = write(tmp_path, "a.cfg", TAU_I)
     proc = run_cli("eisenstein", "eval", path, "--torsion", "0,0", "--l", "2")

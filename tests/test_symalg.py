@@ -1,11 +1,15 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from polylat.errors import DimensionOverflow
+from polylat.ratlin import rank
 from polylat.symalg import (
     GroupAlgElem,
+    _monomials_upto,
     SymElem,
     c_n_contraction,
     contract_word,
@@ -45,6 +49,93 @@ def test_psi_bijective_up_to_four(m):
     for n in range(5):
         *_, bij = psi_n_matrix(m, n)
         assert bij, (m, n)
+
+
+def _fraction_psi_matrix(m, n):
+    """Reference psi matrix: the multinomial expansion in Fraction, rebuilt per beta."""
+
+    def psi_image(beta):
+        coords = [Fraction(1)] + [Fraction(b) for b in beta]
+        out = {}
+        for word in itertools.combinations_with_replacement(range(m + 1), n):
+            coef = Fraction(math.factorial(n))
+            for letter in set(word):
+                cnt = word.count(letter)
+                coef = coef / math.factorial(cnt) * coords[letter] ** cnt
+            if coef:
+                out[word] = coef
+        return out
+
+    source = _monomials_upto(m, n)
+    target = list(itertools.combinations_with_replacement(range(m + 1), n))
+    cols = []
+    for alpha in source:
+        col = dict.fromkeys(target, Fraction(0))
+        for beta in itertools.product(*(range(a + 1) for a in alpha)):
+            sign = Fraction((-1) ** (sum(alpha) - sum(beta)))
+            coef = sign * math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+            for w, c in psi_image(beta).items():
+                col[w] += coef * c
+        cols.append([col[w] for w in target])
+    return [list(row) for row in zip(*cols)], source, target
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_psi_matrix_matches_fraction_oracle(m):
+    for n in range(5):
+        mat, src, tgt, bij = psi_n_matrix(m, n)
+        ref, ref_src, ref_tgt = _fraction_psi_matrix(m, n)
+        assert (src, tgt) == (ref_src, ref_tgt)
+        assert all(type(x) is int for row in mat for x in row)
+        assert mat == ref, (m, n)
+        assert bij
+
+
+def _gauss_jordan_rank(a):
+    """Reference rank: Gauss-Jordan elimination with Fraction pivots."""
+    m = [[Fraction(x) for x in row] for row in a]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                m[i] = [x - m[i][col] * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def _random_matrix(rng, nrows, ncols, true_rank, rational):
+    """A product of nrows x k and k x ncols factors, so its rank is at most k."""
+
+    def entry():
+        if rational:
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        return rng.randrange(-9, 10)
+
+    left = [[entry() for _ in range(true_rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(true_rank)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_rank_matches_fraction_gauss_jordan(rational):
+    rng = random.Random(17)
+    shapes = [(6, 6), (9, 4), (4, 9), (1, 5), (5, 1), (8, 8)]
+    seen = set()
+    for nrows, ncols in shapes:
+        for k in range(0, min(nrows, ncols) + 2):
+            a = _random_matrix(rng, nrows, ncols, k, rational)
+            ref = _gauss_jordan_rank(a)
+            assert rank(a) == ref, (nrows, ncols, k)
+            seen.add((nrows > ncols, nrows < ncols, ref < min(nrows, ncols)))
+    # tall, wide and square cases, each with some rank-deficient matrices
+    assert {(True, False, True), (False, True, True), (False, False, True)} <= seen
+    assert rank([]) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
 
 
 def test_psi_dimension_cap():
