@@ -229,7 +229,6 @@ def cmd_zeta_eval(args):
         mode=mode,
         split_a=cfg.split_a(args.split_a),
         tol=cfg.tol(args.tol),
-        threads=args.threads,
     )
     emit(
         {
@@ -252,7 +251,7 @@ def cmd_zeta_check(args):
     tol = cfg.tol(args.tol)
     vals = {}
     for a in (0.5, 1.0, 2.0):
-        vals[a] = kzeta_accelerated(frame, P, u, s, split_a=a, tol=tol, threads=args.threads)
+        vals[a] = kzeta_accelerated(frame, P, u, s, split_a=a, tol=tol)
     scale = max(max(abs(v.scalar()) for v in vals.values()), 1e-30)
     spread = max(abs(x.scalar() - y.scalar()) for x in vals.values() for y in vals.values()) / scale
     record = {
@@ -263,7 +262,7 @@ def cmd_zeta_check(args):
         "status": "pass" if spread <= 1e-9 else "fail",
     }
     try:
-        direct = kzeta(frame, P, u, s, mode="direct", tol=tol, threads=args.threads)
+        direct = kzeta(frame, P, u, s, mode="direct", tol=tol)
         gap = abs(direct.scalar() - vals[1.0].scalar()) / scale
         record["direct_gap"] = gap
         if gap > 1e-8:
@@ -338,7 +337,7 @@ def cmd_current_scan(args):
     writer.writerow([f"u{i + 1}" for i in range(rank)] + ["component", "value_re", "value_im"])
     for idx in np.ndindex(*([n] * rank)):
         u = tuple((i + 0.5) / n for i in idx)
-        cv = g_grade(cfg.data, u, args.grade, tol=cfg.tol(args.tol), threads=args.threads)
+        cv = g_grade(cfg.data, u, args.grade, tol=cfg.tol(args.tol))
         for (word, ext), v in sorted(cv.components.items()):
             writer.writerow(
                 [f"{x:.12g}" for x in u]
@@ -353,9 +352,7 @@ def cmd_eisenstein_eval(args):
         raise ConfigError("eisenstein eval needs abelian lattice data")
     x = TorsionPoint.from_rationals(parse_rational_vector(args.torsion, cfg.data.rank))
     n_max = args.nmax if args.nmax else args.l + 3
-    cv = eisenstein_value(
-        cfg.data, x, args.l, n_max, tol=cfg.tol(args.tol), threads=args.threads
-    )
+    cv = eisenstein_value(cfg.data, x, args.l, n_max, tol=cfg.tol(args.tol))
     emit(
         {
             "command": "eisenstein eval",
@@ -418,6 +415,8 @@ def cmd_algebra_verify(args):
 
 
 def cmd_bm_verify(args):
+    if not 0 < args.r < 1:
+        raise ConfigError(f"--r must lie in (0, 1), got {args.r}")
     integral = sphere_integral(args.d, args.r, args.quad)
     residuals = {
         "h=1e-2": closedness_residual(args.d, [0.5 + 0.1j] * args.d, 1e-2),
@@ -458,7 +457,7 @@ S_HELP = "re,im; write a negative real part as --s=-1,0"
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="polylat", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (default: POLYLAT_THREADS or 1)")
+    parser.add_argument("--threads", type=at_least(1), default=None, help="worker threads (default: POLYLAT_THREADS or 1)")
     sub = parser.add_subparsers(dest="group", required=True)
 
     def add(group_parser, name, fn, config=True):
@@ -502,7 +501,7 @@ def build_parser():
     p = add(ze, "scan", cmd_zeta_scan)
     p.add_argument("--s", required=True, help=S_HELP)
     p.add_argument("--p", default="1")
-    p.add_argument("--grid-n", type=int, default=8)
+    p.add_argument("--grid-n", type=at_least(1), default=8)
     p.add_argument("--fd-step", type=positive, default=0.01)
     p.add_argument("--tol", type=positive, default=None)
     p.add_argument("--side", default="dual", choices=["dual", "primal"])
@@ -514,7 +513,7 @@ def build_parser():
     p.add_argument("--tol", type=positive, default=None)
     p = add(cu, "scan", cmd_current_scan)
     p.add_argument("--grade", type=int, default=2)
-    p.add_argument("--grid-n", type=int, default=4)
+    p.add_argument("--grid-n", type=at_least(1), default=4)
     p.add_argument("--tol", type=positive, default=None)
 
     ei = sub.add_parser("eisenstein").add_subparsers(dest="action", required=True)

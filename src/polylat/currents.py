@@ -215,7 +215,7 @@ def _contraction_quadratics(data, frame_rows):
     }
 
 
-def g_abk(data, a, b, k, u, tol=1e-9, mode="accel", threads=None):
+def g_abk(data, a, b, k, u, tol=1e-9, mode="accel"):
     """One expansion piece g_{a,b}^k at the torus point u (away from the lattice).
 
     Over a point base the k >= 1 pieces vanish exactly; the k = 0 piece is
@@ -260,7 +260,7 @@ def g_abk(data, a, b, k, u, tol=1e-9, mode="accel", threads=None):
             vec[idx] += c
     P = VectorPolynomial(n, coeffs, target_dim=len(comps), homogeneous=True)
     s = a + b + k
-    zv = kzeta(frame, P, u, s, mode=mode, tol=tol, threads=threads)
+    zv = kzeta(frame, P, u, s, mode=mode, tol=tol)
     components = {comps[i]: complex(zv.value[i]) for i in range(len(comps))}
     return CurrentValue(
         sym_degree=sym_degree,
@@ -282,7 +282,7 @@ def _is_exact(u):
     return any(isinstance(x, Fraction) for x in u)
 
 
-def g_grade(data, u, n, tol=1e-9, mode="accel", threads=None):
+def g_grade(data, u, n, tol=1e-9, mode="accel"):
     """Grade-n assembly: sum over a+b=n of (-1)^a sum_k coeff * g_{a,b}^k."""
     if n < 2:
         raise OutOfRange("grades start at n = 2")
@@ -294,7 +294,7 @@ def g_grade(data, u, n, tol=1e-9, mode="accel", threads=None):
         b = n - a
         for k in range(0, 2 * data.d + 1):
             coeff = coefficient(a, b, k, data.d, kappa)
-            piece = g_abk(data, a, b, k, u, tol=tol, mode=mode, threads=threads)
+            piece = g_abk(data, a, b, k, u, tol=tol, mode=mode)
             regimes.add(piece.regime)
             err += abs(float(coeff)) * piece.error_bound
             sign = (-1) ** a
@@ -351,6 +351,7 @@ def eisenstein_value(data, x, l, n_max, tol=1e-9, functional=None, threads=None)
     n = l+3 term of the series) and contracts one symmetric slot with the
     given functional on the Hodge basis, landing in Sym^l.
     """
+    # threads is unused: it stays because bench/workloads.py passes threads=1
     if not isinstance(x, TorsionPoint):
         x = TorsionPoint.from_rationals(x)
     if l < 0:
@@ -359,7 +360,7 @@ def eisenstein_value(data, x, l, n_max, tol=1e-9, functional=None, threads=None)
     if n > n_max:
         raise OutOfRange(f"grade {n} = l+3 not covered by n_max = {n_max}")
     chi = functional if functional is not None else dual_coordinate_functional(data)
-    grade = g_grade(data, x.u, n, tol=tol, threads=threads)
+    grade = g_grade(data, x.u, n, tol=tol)
     out = {}
     for (word, ext), val in grade.components.items():
         if abs(val) == 0:

@@ -400,36 +400,38 @@ def cell_radius(gram):
     return float(np.sqrt(np.max(np.einsum("ij,jk,ik->i", corners, gram, corners))))
 
 
-def ellipsoid_chunks(gram, R, *, half=False, coords=True, chunk=1 << 16):
-    """Fincke-Pohst enumeration of the integer m with Q(m) = m^T G m <= R.
+def ellipsoid_chunks(gram, R, *, center=None, half=False, coords=True, chunk=1 << 16):
+    """Fincke-Pohst enumeration of the integer m with Q(m - c) <= R, Q(x) = x^T G x.
 
-    Yields (ms, q) in lexicographic order of m, at most `chunk` points at a
-    time: the integer rows (None if not coords, to save their cost) and
-    their Q values.  Every point with Q <= R is emitted (bounds carry a
-    1e-9 relative margin for rounding), perhaps with a few just outside.
-    With half=True the first nonzero coordinate is > 0: one point of each
-    pair +-m, never the origin.
+    c is `center` (default the origin).  Yields (ms, q) in lexicographic
+    order of m, at most `chunk` points at a time: the integer rows (None if
+    not coords, to save their cost) and their values Q(m - c).  Every point
+    with Q(m - c) <= R is emitted (bounds carry a 1e-9 relative margin for
+    rounding), perhaps with a few just outside.  With half=True (and no
+    center) the first nonzero coordinate is > 0: one point of each pair
+    +-m, never the origin.
 
-    With G = U U^T, U upper triangular, Q(m) = sum_i (sum_{j<=i} U_ji m_j)^2
-    and the i-th term depends on m_0..m_i only, so each prefix m_0..m_{i-1}
+    With G = U U^T, U upper triangular, Q(x) = sum_i (sum_{j<=i} U_ji x_j)^2
+    and the i-th term depends on x_0..x_i only, so each prefix m_0..m_{i-1}
     confines m_i to an interval; every level is streamed in pieces of at
     most `chunk` points.
     """
     upper = np.linalg.cholesky(np.asarray(gram, dtype=float)[::-1, ::-1])[::-1, ::-1]
+    ctr = np.zeros(len(upper)) if center is None else np.asarray(center, dtype=float)
     R = R * (1 + 1e-9)
-    ramp = np.arange(chunk, dtype=float)
 
     def extend(pre, part):  # prefixes with their partial sums of Q, one coordinate more
         k = pre.shape[1]
         last = k + 1 == len(upper)
-        diag, shift = upper[k, k], pre @ upper[:k, k]
-        center = -shift / diag
-        width = np.sqrt(np.maximum(R - part, 0.0)) / diag + 1e-9 * (1.0 + np.abs(center))
-        lo = np.ceil(center - width)
+        diag = upper[k, k]
+        shift = (pre - ctr[:k]) @ upper[:k, k] - diag * ctr[k]
+        mid = -shift / diag
+        width = np.sqrt(np.maximum(R - part, 0.0)) / diag + 1e-9 * (1.0 + np.abs(mid))
+        lo = np.ceil(mid - width)
         if half:
             zero = ~pre.any(axis=1)
             lo[zero] = np.maximum(lo[zero], 1.0 if last else 0.0)
-        cnt = np.maximum(np.floor(center + width) - lo + 1, 0).astype(np.int64)
+        cnt = np.maximum(np.floor(mid + width) - lo + 1, 0).astype(np.int64)
         ends = np.cumsum(cnt)
         starts = ends - cnt
         base = diag * lo + shift  # the k-th term's root at m_k = lo
@@ -439,7 +441,7 @@ def ellipsoid_chunks(gram, R, *, half=False, coords=True, chunk=1 << 16):
             c = np.minimum(ends[i:j], b) - np.maximum(starts[i:j], a)
             # q is built in place from m_k - lo (exact), so the root
             # diag * (m_k - lo) + base suffers no cancellation
-            q = ramp[: b - a] - np.repeat((starts[i:j] - a).astype(float), c)
+            q = np.arange(b - a, dtype=float) - np.repeat((starts[i:j] - a).astype(float), c)
             ms = None
             if coords or not last:
                 m_k = (np.repeat(lo[i:j], c) + q).astype(np.int64)

@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     GammaOverflow,
     GridTouchesZeroSection,
     NotAbsolutelyConvergent,
@@ -26,12 +25,14 @@ from .errors import (
     ZeroSectionSingularity,
 )
 from .incgamma import rgamma, upper_gamma
-from .lattice import SNAP_TOL, box_shell, cell_radius, ellipsoid_chunks, ellipsoid_radius
+from .lattice import SNAP_TOL, cell_radius, ellipsoid_chunks, ellipsoid_radius
 from .polygauss import gaussian_ft
-from .sums import CompensatedSum, certified_sum, gaussian_tail, power_tail
+from .sums import CompensatedSum, power_tail, solve_radius
 
-DEFAULT_SHELL_CAP = 400
 POINT_BUDGET = 2e9  # points a direct sum may visit; the rank-2 s = 2 regime check needs ~1.2e9
+# points an accelerated piece may visit: each costs a scalar upper_gamma (~10 us) per
+# gamma order; rank 6 at tol 1e-13 needs ~3.4e5
+GAMMA_POINT_BUDGET = 1e7
 AUTO_DIRECT_POINTS = 129**2  # auto mode sums directly only up to this many points
 _POLE_TOL = 1e-12
 
@@ -52,44 +53,42 @@ def converges_directly(P, s, rank):
     return 2.0 * complex(s).real - P.degree > rank
 
 
+def _tail(gram, q_mat, monomials, s_re, decay=0.0, r_min=0.0):
+    """R -> the closed-form bound on sum over Q(m) > R of f(m), Q(x) = x^T gram x.
+
+    f(m) = sum over (alpha, vec, scale) in monomials of scale |vec| |y^alpha|
+    Q(m)^{-s_re} e^{-decay Q(m)}, y being the ambient point with
+    y^T q_mat y = Q(m); the bound is infinite below r_min.
+    """
+    # |y|^2 <= Q / lambda_min(q_mat), so |y^alpha| <= (Q / lambda_min)^{|alpha|/2}
+    grow = 1.0 / math.sqrt(float(np.linalg.eigvalsh(q_mat)[0]))
+    amps = [0.0] * (1 + max((sum(alpha) for alpha, _vec, _scale in monomials), default=0))
+    for alpha, vec, scale in monomials:
+        amps[sum(alpha)] += scale * float(np.max(np.abs(vec))) * grow ** sum(alpha)
+    sqrt_det, D = math.sqrt(np.linalg.det(gram)), cell_radius(gram)
+    return lambda R: math.inf if R < r_min else power_tail(
+        R, rank=len(gram), sqrt_det=sqrt_det, cell_radius=D, s_re=s_re, amps=amps, decay=decay
+    )
+
+
 def _direct_tail(frame, P, s_re):
     """R -> the closed-form bound on sum over Q(l) > R of |P(l)| Q(l)^{-s_re}."""
-    # |y|^2 <= Q / lambda_min(M) for y = B m, so |y^alpha| <= (Q / lambda_min)^{|alpha|/2}
-    grow = 1.0 / math.sqrt(float(np.linalg.eigvalsh(frame.q_mat)[0]))
-    amps = [0.0] * (P.degree + 1)
-    for alpha, vec in P.coeffs.items():
-        amps[sum(alpha)] += float(np.max(np.abs(vec))) * grow ** sum(alpha)
-    sqrt_det, D = math.sqrt(np.linalg.det(frame.gram)), cell_radius(frame.gram)
-    return lambda R: power_tail(R, rank=frame.rank, sqrt_det=sqrt_det, cell_radius=D, s_re=s_re, amps=amps)
+    return _tail(frame.gram, frame.q_mat, [(alpha, vec, 1.0) for alpha, vec in P.coeffs.items()], s_re)
 
 
-def kzeta_direct(frame, P, u, s, tol=1e-10):
-    """Sum over the ellipsoid Q(l) <= R in the absolute-convergence region.
+def _paired_sum(frame, P, u, R, weight):
+    """sum over 0 < Q(l) <= R of chi_l P(l) weight(Q(l)), by one ellipsoid enumeration.
 
-    R is solved from the integral-comparison tail before summing, within
-    the ellipsoid_radius of POINT_BUDGET points.  Each pair l, -l is summed
-    once: chi(-l) = conj chi(l), Q(-l) = Q(l) and P is evaluated at -l.
+    Each pair l, -l is summed once: chi(-l) = conj chi(l), Q(-l) = Q(l)
+    and P is evaluated at -l.
     """
-    s = complex(s)
-    if not converges_directly(P, s, frame.rank):
-        raise NotAbsolutelyConvergent(
-            f"need 2 Re(s) - deg P > {frame.rank}, got s={s}, deg={P.degree}"
-        )
-    tail = _direct_tail(frame, P, s.real)
-    # the tail falls as R grows: bisect sqrt(R) for the smallest R with tail <= tol
-    lo, hi = 0.0, math.sqrt(ellipsoid_radius(frame.gram, POINT_BUDGET))
-    if tail(hi * hi) > tol:
-        raise BudgetExceeded(f"direct zeta: no certified tail <= {tol} within {POINT_BUDGET:.3g} points")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if tail(mid * mid) <= tol else (mid, hi)
     h = frame.reduce_point(u)
     phase = frame.phase_data(u)
     trivial = not np.any(h)  # every character is 1
     constant = P.degree == 0
     acc = CompensatedSum(1 if constant else P.target_dim)
-    for ms, q in ellipsoid_chunks(frame.gram, hi * hi, half=True, coords=not (trivial and constant)):
-        w = q ** -s.real if s.imag == 0 else np.exp(-s * np.log(q))
+    for ms, q in ellipsoid_chunks(frame.gram, R, half=True, coords=not (trivial and constant)):
+        w = weight(q)
         if not trivial:
             chi = frame.char_values(ms, h) if phase is None else frame.char_values_exact(ms, *phase)
         if constant:
@@ -97,32 +96,47 @@ def kzeta_direct(frame, P, u, s, tol=1e-10):
         else:
             y, c = frame.points(ms), 1.0 if trivial else chi[:, None]
             acc.add(w @ (c * P.evaluate_many(y) + np.conj(c) * P.evaluate_many(-y)))
-    value = 2.0 * acc.value[0] * P.value_at_zero() if constant else acc.value
-    return ZetaValue(value=value, s=s, regime="direct", error_bound=float(tail(hi * hi)))
+    return 2.0 * acc.value[0] * P.value_at_zero() if constant else acc.value
 
 
-def kzeta_accelerated(
-    frame, P, u, s, split_a=1.0, tol=1e-10, shell_cap=DEFAULT_SHELL_CAP, threads=None
-):
+def kzeta_direct(frame, P, u, s, tol=1e-10):
+    """Sum over the ellipsoid Q(l) <= R in the absolute-convergence region.
+
+    R is solved from the integral-comparison tail before summing, within
+    the ellipsoid_radius of POINT_BUDGET points.
+    """
+    s = complex(s)
+    if not converges_directly(P, s, frame.rank):
+        raise NotAbsolutelyConvergent(
+            f"need 2 Re(s) - deg P > {frame.rank}, got s={s}, deg={P.degree}"
+        )
+    tail = _direct_tail(frame, P, s.real)
+    R = solve_radius(tail, tol, frame.gram, POINT_BUDGET, "direct zeta")
+    value = _paired_sum(frame, P, u, R, lambda q: q ** -s.real if s.imag == 0 else np.exp(-s * np.log(q)))
+    return ZetaValue(value=value, s=s, regime="direct", error_bound=float(tail(R)))
+
+
+def kzeta_accelerated(frame, P, u, s, split_a=1.0, tol=1e-10, threads=None):
     """Analytic continuation by the split-Mellin / incomplete-gamma assembly."""
+    # threads is unused: it stays because bench/workloads.py passes threads=1
     s = complex(s)
     A = float(split_a)
     with _double_range(s):
-        total, tail = _gamma_k(frame, P, u, s, A, tol / 4, shell_cap, threads)
+        total, tail = _gamma_k(frame, P, u, s, A, tol / 4)
         rg = rgamma(s)
     return ZetaValue(
         value=total * rg, s=s, regime="accelerated", error_bound=float(tail * abs(rg)), split_a=A
     )
 
 
-def kzeta_gamma_product(frame, P, u, s, split_a=1.0, tol=1e-10, threads=None):
+def kzeta_gamma_product(frame, P, u, s, split_a=1.0, tol=1e-10):
     """The assembled Gamma(s) * K(s) before dividing by Gamma.
 
     For u outside the base lattice every piece is entire in s, which the
     suite checks through a Cauchy-integral reconstruction on a small circle.
     """
     with _double_range(s):
-        return _gamma_k(frame, P, u, complex(s), float(split_a), tol / 2, DEFAULT_SHELL_CAP, threads)[0]
+        return _gamma_k(frame, P, u, complex(s), float(split_a), tol / 2)[0]
 
 
 @contextmanager
@@ -131,17 +145,18 @@ def _double_range(s):
 
     The assembly needs Gamma(s) and Gamma(r/2 + m - s); for |Re s| past
     about 171 one of them overflows (math.gamma) or its reciprocal
-    underflows to 0 (complex s).
+    underflows to 0 (complex s), and the weights Q^-s overflow with them.
     """
     try:
-        yield
-    except (OverflowError, ZeroDivisionError):
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, ZeroDivisionError, FloatingPointError):
         raise GammaOverflow(
             f"accelerated zeta: a Gamma factor at s = {s} is outside double range"
         ) from None
 
 
-def _gamma_k(frame, P, u, s, A, piece_tol, shell_cap, threads):
+def _gamma_k(frame, P, u, s, A, piece_tol):
     """Gamma(s) K(s) by the split at A; returns (total, certified tail).
 
     Each of the two lattice pieces is certified to piece_tol.
@@ -172,123 +187,74 @@ def _gamma_k(frame, P, u, s, A, piece_tol, shell_cap, threads):
                     )
                 zero_term = zero_term + c0 * A**denom / denom
 
-    sum_i, tail_i, _ = _gamma_weighted_direct(
-        frame, P, h, s, A, piece_tol, shell_cap, threads, phase=frame.phase_data(u)
-    )
-    sum_ii, tail_ii, _ = _gamma_weighted_dual(frame, gf, by_tpow, rhos, h, A, piece_tol, shell_cap, threads)
+    V = frame.dual_basis
+    gram_d = V.T @ gf.dual_form @ V
+    tail_i = _gamma_direct_tail(frame, P, s, A)
+    tail_ii = _gamma_dual_tail(gram_d, gf, by_tpow, rhos, A)
+    # both radii meet the point budget before either piece is summed
+    R_i = solve_radius(tail_i, piece_tol, frame.gram, GAMMA_POINT_BUDGET, "accelerated zeta (direct piece)")
+    R_ii = solve_radius(tail_ii, piece_tol, gram_d, GAMMA_POINT_BUDGET, "accelerated zeta (dual piece)")
+
+    def gamma_weight(q):  # Gamma(s, A Q) / Q^s
+        return np.array([upper_gamma(s, A * float(x)) for x in q]) * np.exp(-s * np.log(q))
+
+    sum_i = _paired_sum(frame, P, u, R_i, gamma_weight)
+    sum_ii = _dual_sum(V, gram_d, gf, by_tpow, rhos, h, A, R_ii)
 
     total = sum_i + gf.disc_factor * (sum_ii + zero_term)
     if np.any(p0 != 0):
         total = total - p0 * A**s / s
-    return total, tail_i + gf.disc_factor * tail_ii
+    return total, tail_i(R_i) + gf.disc_factor * tail_ii(R_ii)
 
 
-def _gamma_weighted_direct(frame, P, h, s, A, tol, shell_cap, threads, phase=None):
-    """sum_{l != 0} chi_l P(l) Gamma(s, A Q(l)) / Q(l)^s with certified tail."""
-    coeff = P.coeff_l1()
-    growth = frame.basis_norm * math.sqrt(frame.rank)
-    # tail bound valid once A Q >= x_min (then |Gamma(s,x)| <= 2 x^{Re s - 1} e^{-x})
-    x_min = max(1.0, 2.0 * (s.real - 1.0))
-    k_cert = math.ceil(math.sqrt(x_min / (A * frame.sigma_min))) + 1
-
-    def partial(k):
-        ms = box_shell(frame.rank, k)
-        q = frame.q_values(ms)
-        gam = np.array([upper_gamma(s, A * float(x)) for x in q])
-        chi = (
-            frame.char_values(ms, h)
-            if phase is None
-            else frame.char_values_exact(ms, *phase)
-        )
-        weights = chi * gam * np.exp(-s * np.log(q))
-        return (P.evaluate_many(frame.points(ms)) * weights[:, None]).sum(axis=0)
-
-    def tail(k):
-        return (2.0 * A ** (s.real - 1.0) / frame.sigma_min) * gaussian_tail(
-            k,
-            rank=frame.rank,
-            sigma=frame.sigma_min,
-            decay=A,
-            coeff=coeff,
-            deg=P.degree,
-            growth=growth,
-        )
-
-    return certified_sum(
-        partial, tail, tol, P.target_dim, what="accelerated zeta (direct piece)",
-        shell_cap=shell_cap, start=1, k_cert=k_cert, threads=threads,
+def _gamma_direct_tail(frame, P, s, A):
+    """R -> the bound on sum over Q(l) > R of |P(l) Gamma(s, A Q(l)) / Q(l)^s|."""
+    # |Gamma(s, x)| <= c x^{Re s - 1} e^{-x} (upper_gamma_bound) once x >= 2 (Re s - 1)
+    scale = (1.0 if s.real <= 1 else 2.0) * A ** (s.real - 1.0)
+    return _tail(
+        frame.gram, frame.q_mat, [(alpha, vec, scale) for alpha, vec in P.coeffs.items()], 1.0,
+        decay=A, r_min=2.0 * (s.real - 1.0) / A,
     )
 
 
-def _gamma_weighted_dual(frame, gf, by_tpow, rhos, h, A, tol, shell_cap, threads):
-    """Dual-lattice sum over w != 0 of the term-by-term Mellin integrals over (0, A]."""
-    dual = frame.dual_frame()
-    r = frame.rank
-    target_dim = gf.target_dim
-    qd_sigma = float(np.linalg.eigvalsh(gf.dual_form)[0]) - 1e-12
-    h_norm = float(np.linalg.norm(h))
-    growth = dual.basis_norm * math.sqrt(r)
+def _gamma_dual_tail(gram, gf, by_tpow, rhos, A):
+    """R -> the bound on the dual piece beyond Qdual(w) = R (see _dual_sum)."""
+    # per monomial, |Gamma(rho, y) / (pi^2 Qd)^rho| <= c A^{1 - Re rho} e^{-y} / (pi^2 Qd)
+    # at y = pi^2 Qd / A, once y >= 2 (Re rho - 1)
+    monomials = [
+        (alpha, vec, (1.0 if rhos[m].real <= 1 else 2.0) * A ** (1.0 - rhos[m].real) / math.pi**2)
+        for m, monos in by_tpow.items()
+        for alpha, vec in monos
+    ]
     max_rho_re = max((rho.real for rho in rhos.values()), default=0.0)
-    x_min = max(1.0, 2.0 * (max_rho_re - 1.0))
-    # coefficient for the tail: per monomial, |Gamma(rho,y)/(pi^2 Qd)^rho| <= 2 A^{-Re rho}/y * e^{-y}
-    tail_coeff = 0.0
-    for m, monos in by_tpow.items():
-        rho = rhos[m]
-        for _alpha, vec in monos:
-            tail_coeff += float(np.max(np.abs(vec))) * 2.0 * A ** (-rho.real)
-    tail_coeff /= x_min
-    k_cert = (
-        math.ceil(
-            (math.sqrt(x_min * A / (math.pi**2 * qd_sigma)) + h_norm) / dual.basis_smin
-        )
-        + 1
+    return _tail(
+        gram, gf.dual_form, monomials, 1.0,
+        decay=math.pi**2 / A, r_min=2.0 * (max_rho_re - 1.0) * A / math.pi**2,
     )
 
-    def partial(k):
-        ms = box_shell(r, k)
-        ws = dual.points(ms) + h
-        qd = np.einsum("ij,jk,ik->i", ws, gf.dual_form, ws)
+
+def _dual_sum(V, gram, gf, by_tpow, rhos, h, A, R):
+    """Sum over 0 < Qdual(w) <= R of the term-by-term Mellin integrals over (0, A].
+
+    The points w = V m + h (V the dual basis) are enumerated as the m with
+    Q(m - c) <= R for Q(x) = x^T gram x and c = -V^{-1} h.
+    """
+    acc = CompensatedSum(gf.target_dim)
+    for ms, qd in ellipsoid_chunks(gram, R, center=-np.linalg.solve(V, h)):
         keep = qd > SNAP_TOL
-        ws, qd = ws[keep], qd[keep]
-        out = np.zeros(target_dim, dtype=complex)
-        if len(ws) == 0:
-            return out
-        ys = (math.pi**2 / A) * qd
+        ws, qd = ms[keep] @ V.T + h, qd[keep]
         log_pq = np.log(math.pi**2 * qd)
+        out = np.zeros(gf.target_dim, dtype=complex)
         for m, monos in by_tpow.items():
             rho = rhos[m]
-            gam = np.array([upper_gamma(rho, float(y)) for y in ys])
-            factor = gam * np.exp(-rho * log_pq)
-            poly_m = np.zeros((len(ws), target_dim), dtype=complex)
+            factor = np.array([upper_gamma(rho, float(y)) for y in (math.pi**2 / A) * qd]) * np.exp(-rho * log_pq)
             for alpha, vec in monos:
-                mono = np.ones(len(ws))
-                for j, a in enumerate(alpha):
-                    if a:
-                        mono = mono * ws[:, j] ** a
-                poly_m += mono[:, None] * vec[None, :]
-            out = out + (poly_m * factor[:, None]).sum(axis=0)
-        return out
-
-    def tail(k):
-        return tail_coeff * gaussian_tail(
-            k,
-            rank=r,
-            sigma=qd_sigma * dual.basis_smin**2,
-            decay=math.pi**2 / A,
-            coeff=1.0,
-            deg=gf.poly_degree(),
-            growth=growth,
-            rho_shift=h_norm / dual.basis_smin,
-            amp_shift=h_norm,
-        )
-
-    return certified_sum(
-        partial, tail, tol, target_dim, what="accelerated zeta (dual piece)",
-        shell_cap=shell_cap, k_cert=k_cert, threads=threads,
-    )
+                out += (np.prod(ws ** np.array(alpha), axis=1) @ factor) * vec
+        acc.add(out)
+    return acc.value
 
 
-def kzeta(frame, P, u, s, mode="auto", split_a=1.0, tol=1e-10, threads=None):
+def kzeta(frame, P, u, s, mode="auto", split_a=1.0, tol=1e-10):
     """Dispatch between the direct and accelerated regimes.
 
     `auto` picks the direct sum only when its tail certifies tol within the
@@ -303,7 +269,7 @@ def kzeta(frame, P, u, s, mode="auto", split_a=1.0, tol=1e-10, threads=None):
     if mode == "direct":
         return kzeta_direct(frame, P, u, s, tol=tol)
     if mode in ("accel", "accelerated"):
-        return kzeta_accelerated(frame, P, u, s, split_a=split_a, tol=tol, threads=threads)
+        return kzeta_accelerated(frame, P, u, s, split_a=split_a, tol=tol)
     raise ValueError("mode must be auto, direct or accel")
 
 

@@ -212,6 +212,13 @@ def test_cli_current_and_eisenstein(tmp_path):
         ["algebra", "verify", "--n", "-1"],
         ["algebra", "verify", "--hdim", "-1"],
         ["algebra", "verify", "--nmax", "-1"],
+        ["zeta", "scan", "CFG", "--s", "2,0", "--grid-n", "-2"],
+        ["zeta", "scan", "CFG", "--s", "2,0", "--grid-n", "0"],
+        ["current", "scan", "CFG", "--grid-n", "0"],
+        ["bm", "verify", "--r", "2"],
+        ["bm", "verify", "--r", "-0.5"],
+        pytest.param(["--threads", "0", "lattice", "info", "CFG"], id="--threads 0"),
+        pytest.param(["--threads", "-2", "lattice", "info", "CFG"], id="--threads -2"),
     ],
     ids=lambda argv: " ".join(a for a in argv[2:] if a != "CFG"),
 )

@@ -138,6 +138,16 @@ def test_enumerate_shell_complete_bruteforce():
         assert len(expect) > 20
         assert {tuple(v) for v in got.tolist()} == {tuple(v) for v in expect.tolist()}
         assert got.tolist() == expect.tolist()
+        # centred: the m with Q(m - c) <= R, as the shifted dual sums use them
+        c = np.linspace(-0.7, 0.45, frame.rank)
+        pieces = list(ellipsoid_chunks(frame.gram, R, center=c, chunk=7))
+        ms = np.vstack([ms for ms, _q in pieces])
+        q = np.concatenate([q for _ms, q in pieces])
+        assert np.allclose(q, frame.q_values(ms - c), rtol=1e-12)
+        box = np.array(list(itertools.product(*(range(math.floor(x - b), math.ceil(x + b) + 1) for x, b in zip(c, reach)))))
+        expect = box[frame.q_values(box - c) <= R]
+        assert len(expect) > 20
+        assert ms[q <= R].tolist() == expect.tolist()
 
 
 @pytest.mark.parametrize(
@@ -164,10 +174,14 @@ def test_ellipsoid_chunks_half_lattice_and_chunking(gram, R):
 
 
 def test_ellipsoid_radius_covers_count():
-    for gram in (np.eye(2), np.array([[2.0, 1.9], [1.9, 2.0]]), np.diag([1.0, 4.0, 9.0, 0.5]), np.array([[3.0]])):
+    shear = np.array([[1.0, 0.9, 0.8, 0.7], [0.0, 1.0, -0.9, 0.8], [0.0, 0.0, 0.4, 0.9], [0.0, 0.0, 0.0, 0.5]])
+    for gram in (np.eye(2), np.array([[2.0, 1.9], [1.9, 2.0]]), np.diag([1.0, 4.0, 9.0, 0.5]), np.array([[3.0]]), shear.T @ shear):
         for points in (5, 100, 5000):
             R = ellipsoid_radius(gram, points)
             count = sum(int(np.sum(q <= R)) for _ms, q in ellipsoid_chunks(gram, R))
+            assert count <= points
+            center = np.linspace(0.5, -0.3, len(gram))
+            count = sum(int(np.sum(q <= R)) for _ms, q in ellipsoid_chunks(gram, R, center=center))
             assert count <= points
     assert ellipsoid_radius(np.eye(2), 1) == 0.0
     assert cell_radius(np.eye(2)) == pytest.approx(math.sqrt(0.5))

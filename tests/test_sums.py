@@ -24,12 +24,6 @@ def test_certified_sum_geometric_series():
     value, bound, shells = certified_sum(partial, tail, 1e-3, 1, what="toy", shell_cap=50)
     assert (bound, shells) == (0.5**10, 11)
     assert abs(value[0] - (2.0 - 0.5**10)) < 1e-15
-    # the tail is not consulted before k_cert; start skips leading shells
-    value, bound, shells = certified_sum(
-        partial, tail, 1e-3, 1, what="toy", shell_cap=50, start=1, k_cert=20
-    )
-    assert (bound, shells) == (0.5**20, 21)
-    assert abs(value[0] - (1.0 - 0.5**20)) < 1e-15
     # batches of two shells may sum one shell more, in the same order
     value2, _bound, shells2 = certified_sum(partial, tail, 1e-3, 1, what="toy", shell_cap=50, threads=2)
     assert shells2 == 12
@@ -44,28 +38,32 @@ _P = VectorPolynomial.constant(1.0, 2)
 _U = [0.3, 0.1]
 
 
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("enumerated before the budget check")
+
+
 @pytest.mark.parametrize(
     "what, call",
     [
         ("direct theta", lambda f: theta_direct(f, _P, _U, 1e-4, shell_cap=3)),
         ("transformed theta", lambda f: theta_transformed(f, _P, _U, 100.0, shell_cap=3)),
-        # a small split point leaves the direct piece slow, a large one the dual piece
-        ("accelerated zeta (direct piece)", lambda f: kzeta_accelerated(f, _P, _U, 3.0, split_a=0.01, shell_cap=3)),
-        ("accelerated zeta (dual piece)", lambda f: kzeta_accelerated(f, _P, _U, 3.0, split_a=50.0, shell_cap=3)),
+        # a tiny split point leaves the direct piece slow, a huge one the dual piece:
+        # either needs an ellipsoid beyond the point budget, found before enumerating
+        ("accelerated zeta (direct piece)", lambda f: kzeta_accelerated(f, _P, _U, 3.0, split_a=1e-9)),
+        ("accelerated zeta (dual piece)", lambda f: kzeta_accelerated(f, _P, _U, 3.0, split_a=1e9)),
     ],
 )
-def test_budget_exceeded_every_engine(what, call):
-    with pytest.raises(BudgetExceeded, match="^" + re.escape(what) + ": no certified tail <= .* within 3 shells$"):
+def test_budget_exceeded_every_engine(what, call, monkeypatch):
+    monkeypatch.setattr(zeta, "ellipsoid_chunks", _no_enumeration)
+    limit = "3 shells" if "theta" in what else "1e+07 points"
+    with pytest.raises(BudgetExceeded, match="^" + re.escape(f"{what}: no certified tail <= ") + ".* within " + re.escape(limit) + "$"):
         call(_tau_i())
 
 
 def test_direct_zeta_fails_fast_off_lattice(monkeypatch):
     # the rank-4 tail at s = 2.6 needs an ellipsoid of ~1e38 points; the
     # budget is checked from the closed-form tail before anything is enumerated
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("enumerated before the budget check")
-
-    monkeypatch.setattr(zeta, "ellipsoid_chunks", no_enumeration)
+    monkeypatch.setattr(zeta, "ellipsoid_chunks", _no_enumeration)
     frame = SumLattice.euclidean(4)
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded):

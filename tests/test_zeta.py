@@ -122,6 +122,27 @@ def test_direct_certificate_is_honest(rank, scaled, offset):
                 assert vd.error_bound >= np.max(np.abs(vd.value - ref)) - 1e-13, (P.degree, u, s, tol)
 
 
+@pytest.mark.parametrize("rank, skewed", [(2, False), (4, False), (2, True)])
+def test_accelerated_certificate_is_honest(rank, skewed):
+    # both pieces' closed-form tails must cover what a loose radius leaves out
+    rng = random.Random(200 + rank)
+    if skewed:
+        shear = np.array([[1.0, 0.9], [0.0, 0.3]])
+        frame = SumLattice.euclidean(rank, shear.T @ shear)
+    else:
+        frame = SumLattice.from_abelian(random_abelian_data(rng, rank), "dual")
+    quad = {(2,) + (0,) * (rank - 1): [1.0], (1, 1) + (0,) * (rank - 2): [0.5j]}
+    for P in (VectorPolynomial.constant(1.0, rank), VectorPolynomial(rank, quad)):
+        for u in ([0.0] * rank, [rng.randrange(8) / 8 + 1 / 16 for _ in range(rank)]):
+            s = rank / 2 + 0.3 + rng.random()
+            for A in (0.5, 2.0):
+                ref = kzeta_accelerated(frame, P, u, s, split_a=A, tol=1e-13).value
+                for tol in (1e-3, 1e-6):
+                    va = kzeta_accelerated(frame, P, u, s, split_a=A, tol=tol)
+                    gap = np.max(np.abs(va.value - ref))
+                    assert va.error_bound >= gap - 1e-13, (P.degree, u, s, A, tol)
+
+
 def test_character_shift_invariance(tau_i_frame):
     P = VectorPolynomial.constant(1.0, 2)
     a = kzeta_accelerated(tau_i_frame, P, [0.25, 0.4], 1.5, tol=1e-12)
