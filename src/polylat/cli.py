@@ -58,10 +58,10 @@ def emit(record, out=None):
 
 
 def positive(text):
-    """argparse type for an option that must be > 0; a ConfigError (exit 2) otherwise."""
+    """argparse type for an option that must be finite and > 0; a ConfigError (exit 2) otherwise."""
     value = float(text)
-    if not value > 0:
-        raise ConfigError(f"expected a positive number, got {text!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigError(f"expected a positive finite number, got {text!r}")
     return value
 
 

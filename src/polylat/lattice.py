@@ -311,7 +311,8 @@ class SumLattice:
         return np.einsum("ij,jk,ik->i", m, self.gram, m)
 
     def char_values(self, ms, u):
-        """exp(2*pi*i*E(l, u)) for each integer coordinate row of ms."""
+        """exp(2*pi*i*E(l, u)) for each integer coordinate row of ms (one
+        column per point when u is a matrix whose columns are points)."""
         phases = np.asarray(ms, dtype=float) @ (self.char_mat @ np.asarray(u, dtype=float))
         phases -= np.floor(phases)
         return np.exp(2j * np.pi * phases)

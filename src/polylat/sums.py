@@ -140,10 +140,11 @@ def power_tail(R, *, rank, sqrt_det, cell_radius, s_re, amps, decay=0.0):
     (tau + D)^{r-1} binomially leaves int_{tau0}^inf tau^{p-1}
     exp(-decay tau^2) dtau per term: tau0^p / -p without decay (finite only
     for p < 0), Gamma(p/2, decay tau0^2) / (2 decay^{p/2}) with it, bounded
-    by upper_gamma_bound.  Infinite where the bound does not apply.
+    by upper_gamma_bound.  Infinite where the bound does not apply, or
+    leaves double range.
     """
     tau0 = math.sqrt(R) - 2.0 * cell_radius
-    if tau0 <= 0:
+    if tau0 <= 0 or math.inf in amps:
         return math.inf
     x0 = decay * tau0 * tau0
     total = 0.0
@@ -155,7 +156,10 @@ def power_tail(R, *, rank, sqrt_det, cell_radius, s_re, amps, decay=0.0):
         for j in range(rank):
             p = j + k + 1 - 2.0 * s_re
             if decay > 0:
-                part = upper_gamma_bound(p / 2, x0) / (2.0 * decay ** (p / 2))
+                try:
+                    part = upper_gamma_bound(p / 2, x0) / (2.0 * decay ** (p / 2))
+                except (OverflowError, ZeroDivisionError):
+                    return math.inf
             elif p >= 0 or p * math.log(tau0) > 700:  # divergent, or beyond float range
                 return math.inf
             else:

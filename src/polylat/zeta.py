@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     GammaOverflow,
     GridTouchesZeroSection,
     NotAbsolutelyConvergent,
@@ -30,10 +31,11 @@ from .polygauss import gaussian_ft
 from .sums import CompensatedSum, power_tail, solve_radius
 
 POINT_BUDGET = 2e9  # points a direct sum may visit; the rank-2 s = 2 regime check needs ~1.2e9
-# points an accelerated piece may visit: each costs a scalar upper_gamma (~10 us) per
-# gamma order; rank 6 at tol 1e-13 needs ~3.4e5
+# points an accelerated piece may visit: each is one entry of an array upper_gamma per
+# gamma order (~0.3 us in a large batch); rank 6 at tol 1e-13 needs ~3.4e5
 GAMMA_POINT_BUDGET = 1e7
 AUTO_DIRECT_POINTS = 129**2  # auto mode sums directly only up to this many points
+_CHUNK = 1 << 16  # points per enumerated chunk, and entries per (points u) x (lattice points) array
 _POLE_TOL = 1e-12
 
 
@@ -76,27 +78,58 @@ def _direct_tail(frame, P, s_re):
     return _tail(frame.gram, frame.q_mat, [(alpha, vec, 1.0) for alpha, vec in P.coeffs.items()], s_re)
 
 
-def _paired_sum(frame, P, u, R, weight):
-    """sum over 0 < Q(l) <= R of chi_l P(l) weight(Q(l)), by one ellipsoid enumeration.
+def _paired_sum(frame, P, us, R, weight):
+    """Row k: sum over 0 < Q(l) <= R of chi_l(u_k) P(l) weight(Q(l)), one
+    ellipsoid enumeration for every point u_k of the batch.
 
     Each pair l, -l is summed once: chi(-l) = conj chi(l), Q(-l) = Q(l)
-    and P is evaluated at -l.
+    and P is evaluated at -l.  The weights and P(+-y) are computed once per
+    chunk; the characters per block of points u, chunk x block at most _CHUNK.
     """
-    h = frame.reduce_point(u)
-    phase = frame.phase_data(u)
-    trivial = not np.any(h)  # every character is 1
+    chars = [(frame.reduce_point(u), frame.phase_data(u)) for u in us]
+    trivial = not any(np.any(h) for h, _phase in chars)  # every character is 1
     constant = P.degree == 0
-    acc = CompensatedSum(1 if constant else P.target_dim)
-    for ms, q in ellipsoid_chunks(frame.gram, R, half=True, coords=not (trivial and constant)):
+    acc = CompensatedSum(len(us) * (1 if constant else P.target_dim))
+    for ms, q in ellipsoid_chunks(
+        frame.gram, R, half=True, coords=not (trivial and constant), chunk=_CHUNK
+    ):
         w = weight(q)
-        if not trivial:
-            chi = frame.char_values(ms, h) if phase is None else frame.char_values_exact(ms, *phase)
-        if constant:
-            acc.add(w.sum() if trivial else w @ chi.real)
-        else:
-            y, c = frame.points(ms), 1.0 if trivial else chi[:, None]
-            acc.add(w @ (c * P.evaluate_many(y) + np.conj(c) * P.evaluate_many(-y)))
-    return 2.0 * acc.value[0] * P.value_at_zero() if constant else acc.value
+        if not constant:
+            y = frame.points(ms)
+            p_plus, p_minus = P.evaluate_many(y), P.evaluate_many(-y)
+        if trivial:
+            acc.add(np.tile(w.sum() if constant else w @ (p_plus + p_minus), len(us)))
+            continue
+        parts = []
+        for block in _blocks(chars, len(q)):
+            chi = _characters(frame, ms, block)
+            if constant:
+                parts.append(w @ chi.real)
+            else:
+                parts.append((w[:, None] * chi).T @ p_plus + (w[:, None] * np.conj(chi)).T @ p_minus)
+        acc.add(np.concatenate(parts, axis=None))
+    if constant:
+        return 2.0 * acc.value[:, None] * P.value_at_zero()
+    return acc.value.reshape(len(us), P.target_dim)
+
+
+def _blocks(items, per_item):
+    """items in consecutive blocks of at most max(1, _CHUNK // per_item)."""
+    step = max(1, _CHUNK // max(per_item, 1))
+    return [items[k:k + step] for k in range(0, len(items), step)]
+
+
+def _characters(frame, ms, block):
+    """chi_l(u) for the rows l of ms, one column per (h, phase_data) of block.
+
+    Fraction points keep their exact roots of unity; the others share one
+    product with the character matrix.
+    """
+    if all(phase is None for _h, phase in block):
+        return frame.char_values(ms, np.array([h for h, _phase in block]).T)
+    return np.column_stack(
+        [frame.char_values(ms, h) if phase is None else frame.char_values_exact(ms, *phase) for h, phase in block]
+    )
 
 
 def kzeta_direct(frame, P, u, s, tol=1e-10):
@@ -112,7 +145,7 @@ def kzeta_direct(frame, P, u, s, tol=1e-10):
         )
     tail = _direct_tail(frame, P, s.real)
     R = solve_radius(tail, tol, frame.gram, POINT_BUDGET, "direct zeta")
-    value = _paired_sum(frame, P, u, R, lambda q: q ** -s.real if s.imag == 0 else np.exp(-s * np.log(q)))
+    value = _paired_sum(frame, P, [u], R, lambda q: q ** -s.real if s.imag == 0 else np.exp(-s * np.log(q)))[0]
     return ZetaValue(value=value, s=s, regime="direct", error_bound=float(tail(R)))
 
 
@@ -121,12 +154,16 @@ def kzeta_accelerated(frame, P, u, s, split_a=1.0, tol=1e-10, threads=None):
     # threads is unused: it stays because bench/workloads.py passes threads=1
     s = complex(s)
     A = float(split_a)
+    values, bound = _accelerated(frame, P, [u], s, A, tol)
+    return ZetaValue(value=values[0], s=s, regime="accelerated", error_bound=bound, split_a=A)
+
+
+def _accelerated(frame, P, us, s, A, tol):
+    """K(s) at each point of us (one row each) and their common error bound."""
     with _double_range(s):
-        total, tail = _gamma_k(frame, P, u, s, A, tol / 4)
+        total, tail = _gamma_k(frame, P, us, s, A, tol / 4)
         rg = rgamma(s)
-    return ZetaValue(
-        value=total * rg, s=s, regime="accelerated", error_bound=float(tail * abs(rg)), split_a=A
-    )
+    return total * rg, float(tail * abs(rg))
 
 
 def kzeta_gamma_product(frame, P, u, s, split_a=1.0, tol=1e-10):
@@ -136,7 +173,7 @@ def kzeta_gamma_product(frame, P, u, s, split_a=1.0, tol=1e-10):
     suite checks through a Cauchy-integral reconstruction on a small circle.
     """
     with _double_range(s):
-        return _gamma_k(frame, P, u, complex(s), float(split_a), tol / 2)[0]
+        return _gamma_k(frame, P, [u], complex(s), float(split_a), tol / 2)[0][0]
 
 
 @contextmanager
@@ -156,27 +193,32 @@ def _double_range(s):
         ) from None
 
 
-def _gamma_k(frame, P, u, s, A, piece_tol):
-    """Gamma(s) K(s) by the split at A; returns (total, certified tail).
+def _gamma_k(frame, P, us, s, A, piece_tol):
+    """Gamma(s) K(s) by the split at A at each point u of us.
 
-    Each of the two lattice pieces is certified to piece_tol.
+    Returns (totals, certified tail): one row of totals per point, one tail
+    for all.  Each of the two lattice pieces is certified to piece_tol.
+    Everything but the characters, the dual points w = V m + h and the
+    zero term is independent of u and is computed once for the batch.
     """
     if A <= 0 or piece_tol <= 0:
         raise ValueError("split point and tol must be positive")
-    h = frame.reduce_point(u)
     half = frame.rank / 2.0
 
     p0 = P.value_at_zero()
     if np.any(p0 != 0) and abs(s) < _POLE_TOL:
         raise PoleAtS("boundary term P(0) A^s / s has a pole at s = 0")
 
-    gf = gaussian_ft(P, frame.q_mat, h=h, pairing=frame.pairing, vol_scale=frame.vol_scale)
+    # the transformed polynomial does not depend on the shift h
+    gf = gaussian_ft(P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
     by_tpow = gf.monomials_by_tpower()
     rhos = {m: half + m - s for m in by_tpow}
 
-    # dual-side zero term: only the constant-in-w monomials contribute at w=0
+    # dual-side zero term, for u in the base lattice: only the
+    # constant-in-w monomials contribute at w=0
+    on_lattice = np.array([frame.in_base_lattice(u) for u in us])
     zero_term = np.zeros(P.target_dim, dtype=complex)
-    if frame.in_base_lattice(u):
+    if on_lattice.any():
         for m, monos in by_tpow.items():
             c0 = sum((vec for alpha, vec in monos if sum(alpha) == 0), np.zeros(P.target_dim, dtype=complex))
             if np.any(c0 != 0):
@@ -191,17 +233,26 @@ def _gamma_k(frame, P, u, s, A, piece_tol):
     gram_d = V.T @ gf.dual_form @ V
     tail_i = _gamma_direct_tail(frame, P, s, A)
     tail_ii = _gamma_dual_tail(gram_d, gf, by_tpow, rhos, A)
-    # both radii meet the point budget before either piece is summed
+    # both radii, and the dual candidates' radius, meet the point budget
+    # before either piece is summed
     R_i = solve_radius(tail_i, piece_tol, frame.gram, GAMMA_POINT_BUDGET, "accelerated zeta (direct piece)")
     R_ii = solve_radius(tail_ii, piece_tol, gram_d, GAMMA_POINT_BUDGET, "accelerated zeta (dual piece)")
+    hs = np.array([frame.reduce_point(u) for u in us])
+    centers = -np.linalg.solve(V, hs.T).T
+    R_c = (math.sqrt(R_ii) + math.sqrt(np.einsum("ij,jk,ik->i", centers, gram_d, centers).max())) ** 2
+    if R_c > R_ii and R_c > ellipsoid_radius(gram_d, GAMMA_POINT_BUDGET):
+        raise BudgetExceeded(
+            f"accelerated zeta (dual piece): candidates within {R_c:.6g} of the origin"
+            f" exceed {GAMMA_POINT_BUDGET:.3g} points"
+        )
 
     def gamma_weight(q):  # Gamma(s, A Q) / Q^s
-        return np.array([upper_gamma(s, A * float(x)) for x in q]) * np.exp(-s * np.log(q))
+        return upper_gamma(s, A * q) * np.exp(-s * np.log(q))
 
-    sum_i = _paired_sum(frame, P, u, R_i, gamma_weight)
-    sum_ii = _dual_sum(V, gram_d, gf, by_tpow, rhos, h, A, R_ii)
+    sum_i = _paired_sum(frame, P, us, R_i, gamma_weight)
+    sum_ii = _dual_sum(gram_d, V, gf, by_tpow, rhos, centers, A, R_ii, R_c)
 
-    total = sum_i + gf.disc_factor * (sum_ii + zero_term)
+    total = sum_i + gf.disc_factor * (sum_ii + on_lattice[:, None] * zero_term)
     if np.any(p0 != 0):
         total = total - p0 * A**s / s
     return total, tail_i(R_i) + gf.disc_factor * tail_ii(R_ii)
@@ -210,11 +261,20 @@ def _gamma_k(frame, P, u, s, A, piece_tol):
 def _gamma_direct_tail(frame, P, s, A):
     """R -> the bound on sum over Q(l) > R of |P(l) Gamma(s, A Q(l)) / Q(l)^s|."""
     # |Gamma(s, x)| <= c x^{Re s - 1} e^{-x} (upper_gamma_bound) once x >= 2 (Re s - 1)
-    scale = (1.0 if s.real <= 1 else 2.0) * A ** (s.real - 1.0)
+    scale = (1.0 if s.real <= 1 else 2.0) * _power(A, s.real - 1.0)
     return _tail(
         frame.gram, frame.q_mat, [(alpha, vec, scale) for alpha, vec in P.coeffs.items()], 1.0,
         decay=A, r_min=2.0 * (s.real - 1.0) / A,
     )
+
+
+def _power(A, p):
+    """A**p, or inf beyond double range: the tail is then infinite, which
+    solve_radius reports as an exceeded budget."""
+    try:
+        return A**p
+    except OverflowError:
+        return math.inf
 
 
 def _gamma_dual_tail(gram, gf, by_tpow, rhos, A):
@@ -222,7 +282,7 @@ def _gamma_dual_tail(gram, gf, by_tpow, rhos, A):
     # per monomial, |Gamma(rho, y) / (pi^2 Qd)^rho| <= c A^{1 - Re rho} e^{-y} / (pi^2 Qd)
     # at y = pi^2 Qd / A, once y >= 2 (Re rho - 1)
     monomials = [
-        (alpha, vec, (1.0 if rhos[m].real <= 1 else 2.0) * A ** (1.0 - rhos[m].real) / math.pi**2)
+        (alpha, vec, (1.0 if rhos[m].real <= 1 else 2.0) * _power(A, 1.0 - rhos[m].real) / math.pi**2)
         for m, monos in by_tpow.items()
         for alpha, vec in monos
     ]
@@ -233,25 +293,38 @@ def _gamma_dual_tail(gram, gf, by_tpow, rhos, A):
     )
 
 
-def _dual_sum(V, gram, gf, by_tpow, rhos, h, A, R):
-    """Sum over 0 < Qdual(w) <= R of the term-by-term Mellin integrals over (0, A].
+def _dual_sum(gram, V, gf, by_tpow, rhos, centers, A, R, R_c):
+    """Row k: sum over 0 < Qdual(w) <= R of the term-by-term Mellin integrals
+    over (0, A], at the points w = V m + h_k (V the dual basis).
 
-    The points w = V m + h (V the dual basis) are enumerated as the m with
-    Q(m - c) <= R for Q(x) = x^T gram x and c = -V^{-1} h.
+    Those are the m with Q(m - c_k) <= R for Q(x) = x^T gram x and
+    c_k = -V^{-1} h_k.  The candidates m are enumerated once, about the
+    origin within R_c >= (sqrt(R) + max_k sqrt(Q(c_k)))^2, and each block
+    of centers (block x candidates at most _CHUNK) keeps its own; the
+    incomplete gamma runs once per order over the whole block.
     """
-    acc = CompensatedSum(gf.target_dim)
-    for ms, qd in ellipsoid_chunks(gram, R, center=-np.linalg.solve(V, h)):
-        keep = qd > SNAP_TOL
-        ws, qd = ms[keep] @ V.T + h, qd[keep]
-        log_pq = np.log(math.pi**2 * qd)
-        out = np.zeros(gf.target_dim, dtype=complex)
-        for m, monos in by_tpow.items():
-            rho = rhos[m]
-            factor = np.array([upper_gamma(rho, float(y)) for y in (math.pi**2 / A) * qd]) * np.exp(-rho * log_pq)
-            for alpha, vec in monos:
-                out += (np.prod(ws ** np.array(alpha), axis=1) @ factor) * vec
-        acc.add(out)
-    return acc.value
+    n, dim = len(centers), gf.target_dim
+    acc = CompensatedSum(n * dim)
+    for ms, _q in ellipsoid_chunks(gram, R_c, chunk=_CHUNK):
+        parts = []
+        for block in _blocks(centers, len(ms)):
+            x = ms[None, :, :] - block[:, None, :]  # m - c, block x candidates x rank
+            qd = np.einsum("bij,jk,bik->bi", x, gram, x)
+            keep = (qd > SNAP_TOL) & (qd <= R)
+            rows = np.nonzero(keep)[0]  # the block row of each kept point, ascending
+            ws, qd = x[keep] @ V.T, qd[keep]
+            log_pq = np.log(math.pi**2 * qd)
+            part = np.zeros((len(block), dim), dtype=complex)
+            for m, monos in by_tpow.items():
+                rho = rhos[m]
+                factor = upper_gamma(rho, (math.pi**2 / A) * qd) * np.exp(-rho * log_pq)
+                for alpha, vec in monos:
+                    terms = np.prod(ws ** np.array(alpha), axis=1) * factor
+                    sums = np.bincount(rows, terms.real, len(block)) + 1j * np.bincount(rows, terms.imag, len(block))
+                    part += sums[:, None] * vec
+            parts.append(part)
+        acc.add(np.concatenate(parts, axis=None))
+    return acc.value.reshape(n, dim)
 
 
 def kzeta(frame, P, u, s, mode="auto", split_a=1.0, tol=1e-10):
@@ -282,33 +355,33 @@ def torus_distance(frame, u):
     return best
 
 
-def smoothness_scan(frame, P, s, grid, fd_step=0.01, tol=1e-11, mode="accelerated"):
+def smoothness_scan(frame, P, s, grid, fd_step=0.01, tol=1e-11):
     """Values and finite-difference gradients of the continued sum on a u-grid.
 
     Each gradient is computed at steps fd_step, fd_step/2 and fd_step/4;
     the stability ratio |g_h|/|g_{h/2}| should sit near 1 and the
     Richardson ratio |g_h - g_{h/2}| / |g_{h/2} - g_{h/4}| near 4 for a
-    second-order-smooth integrand.
+    second-order-smooth integrand.  Every grid and finite-difference point
+    is one batch of the accelerated sum (split at A = 1).
     """
-    rows = []
+    grid = [np.asarray(u, dtype=float) for u in grid]
     for u in grid:
-        u = np.asarray(u, dtype=float)
         if torus_distance(frame, u) < 10 * fd_step:
             raise GridTouchesZeroSection(f"grid point {u.tolist()} too close to the lattice")
-
-        def value_at(v):
-            return kzeta(frame, P, v, s, mode=mode, tol=tol).value
-
-        val = value_at(u)
-        grads = {}
-        for step in (fd_step, fd_step / 2, fd_step / 4):
+    steps = (fd_step, fd_step / 2, fd_step / 4)
+    shifts = [step * e for step in steps for e in np.eye(frame.rank)]
+    points = [v for u in grid for v in [u] + [w for d in shifts for w in (u + d, u - d)]]
+    values = iter(_accelerated(frame, P, points, complex(s), 1.0, tol)[0])
+    rows = []
+    for u in grid:
+        val = next(values)
+        grads = []
+        for step in steps:
             g = np.zeros((frame.rank, P.target_dim), dtype=complex)
             for j in range(frame.rank):
-                e = np.zeros(frame.rank)
-                e[j] = step
-                g[j] = (value_at(u + e) - value_at(u - e)) / (2 * step)
-            grads[step] = g
-        g1, g2, g4 = grads[fd_step], grads[fd_step / 2], grads[fd_step / 4]
+                g[j] = (next(values) - next(values)) / (2 * step)
+            grads.append(g)
+        g1, g2, g4 = grads
         denom = np.linalg.norm(g2 - g4)
         rich = float(np.linalg.norm(g1 - g2) / denom) if denom > 0 else math.nan
         stab = float(np.linalg.norm(g1) / np.linalg.norm(g2)) if np.linalg.norm(g2) > 0 else math.nan

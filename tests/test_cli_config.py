@@ -217,6 +217,10 @@ def test_cli_current_and_eisenstein(tmp_path):
         ["current", "scan", "CFG", "--grid-n", "0"],
         ["bm", "verify", "--r", "2"],
         ["bm", "verify", "--r", "-0.5"],
+        ["theta", "eval", "CFG", "--t", "inf"],
+        ["zeta", "eval", "CFG", "--s", "3,0", "--mode", "accel", "--A", "inf"],
+        ["zeta", "eval", "CFG", "--s", "3,0", "--tol", "inf"],
+        ["zeta", "scan", "CFG", "--s", "2,0", "--fd-step", "inf"],
         pytest.param(["--threads", "0", "lattice", "info", "CFG"], id="--threads 0"),
         pytest.param(["--threads", "-2", "lattice", "info", "CFG"], id="--threads -2"),
     ],
@@ -270,6 +274,15 @@ def test_cli_gamma_overflow_exit1(tmp_path, s):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == "GAMMA_OVERFLOW"
+
+
+@pytest.mark.parametrize("A", ["1e200", "1e-200"])
+def test_cli_extreme_split_point_exceeds_budget(tmp_path, capsys, A):
+    # the tail factors A^(Re s - 1) and A^(1 - Re rho) leave double range;
+    # that is an infinite tail, so the radius solver reports the budget
+    path = write(tmp_path, "a.cfg", TAU_I)
+    assert main(["zeta", "eval", path, "--s", "2,0", "--mode", "accel", "--A", A, "--u", "0.3,0.1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "BUDGET_EXCEEDED"
 
 
 def test_cli_negative_real_s(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+import math
 import re
 import time
 
@@ -6,8 +8,10 @@ import pytest
 
 from polylat import PolarizedAbelianData, SumLattice
 from polylat.errors import BudgetExceeded
-from polylat.polygauss import VectorPolynomial
-from polylat.sums import certified_sum
+from polylat.incgamma import upper_gamma
+from polylat.lattice import cell_radius, ellipsoid_chunks, ellipsoid_radius
+from polylat.polygauss import VectorPolynomial, gaussian_ft
+from polylat.sums import certified_sum, power_tail
 from polylat.theta import theta_direct, theta_transformed
 from polylat import zeta
 from polylat.zeta import kzeta_accelerated, kzeta_direct
@@ -69,3 +73,87 @@ def test_direct_zeta_fails_fast_off_lattice(monkeypatch):
     with pytest.raises(BudgetExceeded):
         kzeta_direct(frame, VectorPolynomial.constant(1.0, 4), [0.1, 0.2, 0.3, 0.4], 2.6)
     assert time.perf_counter() - start < 1.0
+
+
+def test_dual_candidates_fail_fast(monkeypatch):
+    # with the dual radius at the edge of the budget, the candidates about
+    # the origin that cover a shifted center need more points: found
+    # before anything is enumerated
+    monkeypatch.setattr(zeta, "ellipsoid_chunks", _no_enumeration)
+    monkeypatch.setattr(zeta, "solve_radius", lambda tail, tol, gram, points, what: ellipsoid_radius(gram, points))
+    with pytest.raises(BudgetExceeded, match=re.escape("accelerated zeta (dual piece): candidates within ")):
+        kzeta_accelerated(_tau_i(), _P, _U, 3.0)
+
+
+_TAIL_FRAMES = [(0, 1), (Fraction(1, 2), Fraction(1, 5))]  # tau = i and tau = 1/2 + i/5
+
+
+def _radii(gram, big, q):
+    # from just above 4 D^2, where the integral comparison starts to apply,
+    # and just below the first values of Q beyond it, where the remainder
+    # is largest against the bound
+    D = cell_radius(gram)
+    steps = [(2 * D + step) ** 2 for step in (0.01, 0.1, 0.3, 0.6, 1.0, 1.5, 2.5, 4.0)]
+    shells = np.unique(q[q > 4 * D * D])[:8] * (1 - 1e-9)
+    return [R for R in sorted(steps + list(shells)) if R < big / 4]
+
+
+@pytest.mark.parametrize("tau", _TAIL_FRAMES)
+@pytest.mark.parametrize(
+    "s_re, amps, decay, center",
+    [
+        (2.5, [1.0], 0.0, None),
+        (2.0, [0.0, 0.0, 1.0], 0.0, None),
+        (0.0, [1.0], 1.0, None),
+        (1.0, [1.0, 0.0, 0.5], 0.3, None),
+        (1.0, [1.0], 1.0, (0.3, -0.2)),
+        (0.5, [0.0, 1.0], 0.3, (0.5, 0.5)),
+    ],
+)
+def test_power_tail_covers_exact_remainder(tau, s_re, amps, decay, center):
+    # the sum beyond R over the points enumerated to a much larger radius
+    # is a lower bound of the true remainder, so power_tail must cover it
+    gram = SumLattice.from_abelian(PolarizedAbelianData.from_tau(*tau), "dual").gram
+    big = 400.0 if decay == 0 else 200.0 / decay
+    q = np.concatenate([qc for _ms, qc in ellipsoid_chunks(gram, big, center=center)])
+    q = q[q > 1e-12]
+    f = sum(amp * q ** (k / 2 - s_re) for k, amp in enumerate(amps)) * np.exp(-decay * q)
+    sqrt_det = math.sqrt(np.linalg.det(gram))
+    for R in _radii(gram, big, q):
+        bound = power_tail(R, rank=2, sqrt_det=sqrt_det, cell_radius=cell_radius(gram), s_re=s_re, amps=amps, decay=decay)
+        assert f[q > R].sum() <= bound, (R, f[q > R].sum(), bound)
+
+
+@pytest.mark.parametrize("tau", _TAIL_FRAMES)
+@pytest.mark.parametrize("s, A", [(2.0, 1.0), (1.5 + 0.5j, 0.5), (-0.5, 2.0)])
+@pytest.mark.parametrize("u", [(0.0, 0.0), (0.3, 0.1)])
+def test_gamma_dual_tail_covers_exact_remainder(tau, s, A, u):
+    # |Gamma(rho, pi^2 Qd / A)| (pi^2 Qd)^-Re(rho) |w^alpha| |vec| summed
+    # over the dual points beyond Qd = R, as far as a much larger radius
+    frame = SumLattice.from_abelian(PolarizedAbelianData.from_tau(*tau), "dual")
+    P = VectorPolynomial(2, {(2, 0): [1.0], (1, 1): [0.5j]})
+    gf = gaussian_ft(P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
+    by_tpow = gf.monomials_by_tpower()
+    rhos = {m: 1.0 + m - s for m in by_tpow}
+    V = frame.dual_basis
+    gram = V.T @ gf.dual_form @ V
+    tail = zeta._gamma_dual_tail(gram, gf, by_tpow, rhos, A)
+    h = frame.reduce_point(u)
+    big = 60.0 * A
+    chunks = list(ellipsoid_chunks(gram, big, center=-np.linalg.solve(V, h)))
+    ms, q = np.vstack([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks])
+    ms, q = ms[q > 1e-12], q[q > 1e-12]
+    ws = ms @ V.T + h
+    f = np.zeros(len(q))
+    for m, monos in by_tpow.items():
+        rho = rhos[m]
+        g = np.abs(upper_gamma(rho, math.pi**2 * q / A)) * (math.pi**2 * q) ** -rho.real
+        for alpha, vec in monos:
+            f += g * np.abs(np.prod(ws ** np.array(alpha), axis=1)) * np.max(np.abs(vec))
+    checked = 0
+    for R in _radii(gram, big, q):
+        bound = tail(R)
+        if math.isfinite(bound):
+            checked += 1
+            assert f[q > R].sum() <= bound, (R, f[q > R].sum(), bound)
+    assert checked >= 3

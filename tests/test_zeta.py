@@ -1,3 +1,4 @@
+from fractions import Fraction
 import math
 import random
 
@@ -14,6 +15,7 @@ from polylat.errors import (
 )
 from polylat.polygauss import VectorPolynomial
 from polylat.verify import random_abelian_data
+from polylat import zeta
 from polylat.zeta import (
     kzeta,
     kzeta_accelerated,
@@ -236,3 +238,57 @@ def test_auto_mode_picks_working_regime(z2):
     assert fast.regime == "accelerated"  # direct certificate too slow here
     easy = kzeta(z2, P, [0, 0], 6.0, mode="auto", tol=1e-10)
     assert easy.regime == "direct"
+
+
+def _batch_frame(which):
+    tau_i = PolarizedAbelianData.from_tau(0, 1)
+    skew = PolarizedAbelianData.from_tau(Fraction(1, 2), Fraction(1, 5))
+    data = {"tau_i": tau_i, "skew": skew, "rank4": PolarizedAbelianData.product(tau_i, skew)}[which]
+    return SumLattice.from_abelian(data, "dual")
+
+
+@pytest.mark.parametrize(
+    "which, chunk",
+    [("tau_i", 1 << 16), ("tau_i", 7), ("skew", 1 << 16), ("skew", 7), ("rank4", 1 << 16), ("rank4", 600)],
+)
+def test_batch_matches_single_points(which, chunk, monkeypatch):
+    # a batch shares everything but the characters, the dual points and the
+    # zero term; a small chunk splits both enumerations and the blocks of u
+    frame = _batch_frame(which)
+    r = frame.rank
+    quad = VectorPolynomial(r, {(2,) + (0,) * (r - 1): [1.0], (1, 1) + (0,) * (r - 2): [0.5j]})
+    us = [
+        [0.3, 0.1, 0.7, 0.45][:r],
+        [Fraction(1, 3), Fraction(3, 4), Fraction(1, 6), Fraction(1, 2)][:r],
+        [0] * r,  # on the lattice: the zero term
+        [1.25, -0.6, 2.0, 0.05][:r],
+    ]
+    cases = [(s, A) for s in (1.3, 0.7 + 1.1j, -0.6) for A in (0.5, 2.0)]
+    if which == "rank4":
+        cases = cases[::3]
+    singles = {}
+    for P in (VectorPolynomial.constant(1.0, r), quad):
+        for s, A in cases:
+            for k, u in enumerate(us):
+                singles[P.degree, s, A, k] = zeta._gamma_k(frame, P, [u], complex(s), A, 1e-11)[0][0]
+    monkeypatch.setattr(zeta, "_CHUNK", chunk)
+    for P in (VectorPolynomial.constant(1.0, r), quad):
+        for s, A in cases:
+            batch, _tail = zeta._gamma_k(frame, P, us, complex(s), A, 1e-11)
+            assert batch.shape == (len(us), P.target_dim)
+            for k, row in enumerate(batch):
+                one = singles[P.degree, s, A, k]
+                assert np.max(np.abs(row - one)) <= 1e-13 * max(np.max(np.abs(one)), 1.0), (P.degree, s, A, k)
+
+
+def test_scan_is_one_batch(tau_i_frame, monkeypatch):
+    # the Gaussian transform and both radii are computed once per scan
+    calls = []
+    real_ft = zeta.gaussian_ft
+    monkeypatch.setattr(zeta, "gaussian_ft", lambda *a, **k: calls.append(1) or real_ft(*a, **k))
+    P = VectorPolynomial.constant(1.0, 2)
+    rows = smoothness_scan(tau_i_frame, P, 2.0, [(0.31, 0.43), (0.5, 0.25)], fd_step=0.008, tol=1e-12)
+    assert len(calls) == 1
+    for row in rows:
+        single = kzeta_accelerated(tau_i_frame, P, row["u"], 2.0, tol=1e-12).value
+        assert np.max(np.abs(row["value"] - single)) <= 1e-13 * max(np.max(np.abs(single)), 1.0)
