@@ -26,7 +26,7 @@ from .currents import (
     g_grade,
     g_total,
 )
-from .errors import ConfigError, PolylatError
+from .errors import ConfigError, OutOfRange, PolylatError
 from .lattice import SumLattice, dual_lattice, enumerate_shell
 from .polygauss import VectorPolynomial
 from .symalg import (
@@ -307,9 +307,7 @@ def cmd_current_eval(args):
     if cfg.lattice_kind != "abelian":
         raise ConfigError("current eval needs abelian lattice data")
     u = parse_vector(args.u, cfg.data.rank)
-    grades = g_total(
-        cfg.data, u, cfg.grade_max(args.grade_max), tol=cfg.tol(args.tol), threads=args.threads
-    )
+    grades = g_total(cfg.data, u, cfg.grade_max(args.grade_max), tol=cfg.tol(args.tol))
     for n, cv in grades.items():
         emit(
             {
@@ -331,6 +329,8 @@ def cmd_current_scan(args):
     cfg = load_config(args.config)
     if cfg.lattice_kind != "abelian":
         raise ConfigError("current scan needs abelian lattice data")
+    if args.grade < 2:  # before the header, so a failed scan writes nothing
+        raise OutOfRange("grades start at n = 2")
     n = args.grid_n
     writer = csv.writer(sys.stdout)
     rank = cfg.data.rank

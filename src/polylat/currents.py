@@ -3,9 +3,10 @@
 Each piece g_{a,b}^k is a lattice series over the dual lattice with
 numerator (Hodge monomial) x (double contraction of omega^d) and
 denominator Q^{a+b+k}.  Over a point base the Lie-derivative tower
-vanishes for k >= 1, so only k = 0 sums survive; the k-summation
-structure and the exact coefficient
-(-1)^d (a+b+k-1)! / ((a+b-1)! k! d! kappa) are nonetheless kept in full.
+vanishes for k >= 1, so only k = 0 sums survive; the exact coefficient
+(-1)^d (a+b+k-1)! / ((a+b-1)! k! d! kappa) is kept in full.  Every
+surviving piece of grade n = a+b is a lattice zeta value at s = n, so a
+grade is one vector-valued zeta call.
 
 Values land in symmetric words over the complex Hodge basis (images of
 the lattice basis under the eigenprojectors), tensored with exterior
@@ -24,9 +25,8 @@ from .errors import OutOfRange, QuadratureUnstable, ZeroSectionSingularity
 from .lattice import SumLattice, dual_lattice
 from .polygauss import VectorPolynomial
 from .symalg import SymElem, c_n_contraction
-from .sums import map_shells, thread_count
 from .torus import double_contraction_forms
-from .zeta import converges_directly, kzeta
+from .zeta import kzeta_accelerated
 
 CONVENTION_NOTE = "iota=2*pi*i substituted numerically; omega = pairing/2; E(Jl,l)>0"
 
@@ -215,7 +215,54 @@ def _contraction_quadratics(data, frame_rows):
     }
 
 
-def g_abk(data, a, b, k, u, tol=1e-9, mode="accel"):
+def _dual_frame(data, u):
+    """The dual summation frame of data, once u is checked to lie off the zero section."""
+    frame = SumLattice.from_abelian(data, side="dual")
+    if frame.in_base_lattice(u):
+        raise ZeroSectionSingularity("g_{a,b} is singular on the zero section")
+    return frame
+
+
+def _current(data, u, n, weights, tol):
+    """Sum over a in weights of weights[a] * g_{a,n-a}^0 at u, as one zeta call.
+
+    Every piece of grade n is a lattice zeta value at s = n over the same
+    dual frame, and the words of different a use disjoint components, so
+    the (word, ext) components of every a are concatenated into one
+    vector-valued polynomial whose coefficients carry the weights.  The
+    error bound is that one call's bound on the whole vector.
+    """
+    frame = _dual_frame(data, u)
+    rows = HodgeFrame(data).coordinate_rows()
+    quads = _contraction_quadratics(data, rows)
+    rank = data.rank
+    pieces = []  # ((word, ext), weight, numerator polynomial)
+    for a, weight in weights.items():
+        words = _word_polynomials(rows, data.d, a, n - a)
+        for ext in sorted(quads):
+            for word in sorted(words):
+                pieces.append(((word, ext), weight, _poly_product(words[word], quads[ext], rank)))
+    coeffs = {}
+    for idx, (_comp, weight, poly) in enumerate(pieces):
+        for alpha, c in poly.items():
+            if c == 0:
+                continue
+            vec = coeffs.setdefault(alpha, np.zeros(len(pieces), dtype=complex))
+            vec[idx] += weight * c
+    P = VectorPolynomial(rank, coeffs, target_dim=len(pieces), homogeneous=True)
+    zv = kzeta_accelerated(frame, P, u, n, tol=tol)
+    return CurrentValue(
+        sym_degree=n - 2,
+        form_degree=2 * data.d - 2,
+        components={comp: complex(zv.value[i]) for i, (comp, _weight, _poly) in enumerate(pieces)},
+        point=tuple(float(x) for x in u),
+        regime=zv.regime,
+        error_bound=zv.error_bound,
+        meta={"s": n, "convention": CONVENTION_NOTE},
+    )
+
+
+def g_abk(data, a, b, k, u, tol=1e-9):
     """One expansion piece g_{a,b}^k at the torus point u (away from the lattice).
 
     Over a point base the k >= 1 pieces vanish exactly; the k = 0 piece is
@@ -225,107 +272,48 @@ def g_abk(data, a, b, k, u, tol=1e-9, mode="accel"):
     """
     if a < 1 or b < 1 or k < 0 or k > 2 * data.d:
         raise OutOfRange(f"bad indices a={a}, b={b}, k={k}")
-    frame = SumLattice.from_abelian(data, side="dual")
-    if frame.in_base_lattice(np.asarray(u, dtype=float) if not _is_exact(u) else u):
-        raise ZeroSectionSingularity("g_{a,b} is singular on the zero section")
-    sym_degree = a + b - 2
-    form_degree = 2 * data.d - 2
     if k >= 1:
+        _dual_frame(data, u)  # every k is singular on the zero section
         # constant base: the Lie-derivative factor [l^{-1,0}]^k omega^d drops out
         return CurrentValue(
-            sym_degree=sym_degree,
-            form_degree=form_degree,
+            sym_degree=a + b - 2,
+            form_degree=2 * data.d - 2,
             components={},
             point=tuple(float(x) for x in u),
             regime="vanishing",
             error_bound=0.0,
             meta={"k": k, "convention": CONVENTION_NOTE},
         )
-    hframe = HodgeFrame(data)
-    rows = hframe.coordinate_rows()
-    words = _word_polynomials(rows, data.d, a, b)
-    quads = _contraction_quadratics(data, rows)
-    n = data.rank
-    comps = sorted(
-        ((word, ext) for word in words for ext in quads),
-        key=lambda we: (we[1], we[0]),
-    )
-    coeffs = {}
-    for idx, (word, ext) in enumerate(comps):
-        poly = _poly_product(words[word], quads[ext], n)
-        for alpha, c in poly.items():
-            if c == 0:
-                continue
-            vec = coeffs.setdefault(alpha, np.zeros(len(comps), dtype=complex))
-            vec[idx] += c
-    P = VectorPolynomial(n, coeffs, target_dim=len(comps), homogeneous=True)
-    s = a + b + k
-    zv = kzeta(frame, P, u, s, mode=mode, tol=tol)
-    components = {comps[i]: complex(zv.value[i]) for i in range(len(comps))}
-    return CurrentValue(
-        sym_degree=sym_degree,
-        form_degree=form_degree,
-        components=components,
-        point=tuple(float(x) for x in u),
-        regime=zv.regime,
-        error_bound=zv.error_bound,
-        meta={
-            "k": k,
-            "s": s,
-            "direct_eligible": converges_directly(P, s, n),
-            "convention": CONVENTION_NOTE,
-        },
-    )
+    value = _current(data, u, a + b, {a: 1}, tol)
+    value.meta["k"] = 0
+    return value
 
 
-def _is_exact(u):
-    return any(isinstance(x, Fraction) for x in u)
+def g_grade(data, u, n, tol=1e-9):
+    """Grade-n assembly: sum over a+b=n of (-1)^a sum_k coeff * g_{a,b}^k.
 
-
-def g_grade(data, u, n, tol=1e-9, mode="accel"):
-    """Grade-n assembly: sum over a+b=n of (-1)^a sum_k coeff * g_{a,b}^k."""
+    The k >= 1 terms vanish over a point base (see g_abk), so the grade is
+    the k = 0 pieces weighted by (-1)^a coeff(a, n-a, 0), evaluated as one
+    vector and certified to tol as a whole.
+    """
     if n < 2:
         raise OutOfRange("grades start at n = 2")
     kappa = dual_lattice(data).kappa
-    components = {}
-    err = 0.0
-    regimes = set()
-    for a in range(1, n):
-        b = n - a
-        for k in range(0, 2 * data.d + 1):
-            coeff = coefficient(a, b, k, data.d, kappa)
-            piece = g_abk(data, a, b, k, u, tol=tol, mode=mode)
-            regimes.add(piece.regime)
-            err += abs(float(coeff)) * piece.error_bound
-            sign = (-1) ** a
-            for key, val in piece.components.items():
-                components[key] = components.get(key, 0j) + sign * float(coeff) * val
-    regime = "accelerated" if "accelerated" in regimes else "direct"
-    return CurrentValue(
-        sym_degree=n - 2,
-        form_degree=2 * data.d - 2,
-        components=components,
-        point=tuple(float(x) for x in u),
-        regime=regime,
-        error_bound=err,
-        meta={"grade": n, "kappa": kappa, "convention": CONVENTION_NOTE},
-    )
+    weights = {a: (-1) ** a * float(coefficient(a, n - a, 0, data.d, kappa)) for a in range(1, n)}
+    value = _current(data, u, n, weights, tol)
+    value.meta.update(grade=n, kappa=kappa)
+    return value
 
 
-def g_total(data, u, n_max, tol=1e-9, mode="accel", threads=None):
+def g_total(data, u, n_max, tol=1e-9, threads=None):
     """Graded list of current values for n = 2..n_max.
 
-    Grades are independent tasks; with threads > 1 they are evaluated
-    concurrently and collected in fixed grade order (the per-grade values
-    keep the summation engines' determinism contract).
+    Each grade is one vector certified to tol as a whole (see g_grade).
     """
+    # threads is unused: it stays because bench/workloads.py passes threads=1
     if n_max < 2:
         raise OutOfRange("n_max must be >= 2")
-    grades = list(range(2, n_max + 1))
-    values = map_shells(
-        lambda n: g_grade(data, u, n, tol=tol, mode=mode), grades, thread_count(threads)
-    )
-    return dict(zip(grades, values))
+    return {n: g_grade(data, u, n, tol=tol) for n in range(2, n_max + 1)}
 
 
 def pairing_functional(data, vector):

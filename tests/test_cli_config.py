@@ -324,3 +324,8 @@ def test_cli_no_raw_tracebacks_on_engine_error(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "ZERO_SECTION_SINGULARITY" in proc.stderr
+    # a grade below 2 fails before the CSV header is written
+    proc = run_cli("current", "scan", path, "--grade", "1", "--grid-n", "2")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "OUT_OF_RANGE"

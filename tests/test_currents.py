@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polylat import PolarizedAbelianData, SumLattice
+from polylat import PolarizedAbelianData, SumLattice, currents
+from polylat.config import load_config
 from polylat.currents import (
     CurrentValue,
     TorsionPoint,
@@ -18,12 +20,20 @@ from polylat.currents import (
     pairing_functional,
 )
 from polylat.errors import OutOfRange, QuadratureUnstable, ZeroSectionSingularity
+from polylat.lattice import dual_lattice
 from polylat.zeta import kzeta_accelerated
+
+D2_POINT = (0.30, 0.45, 0.20, 0.40)
 
 
 @pytest.fixture(scope="module")
 def tau_i():
     return PolarizedAbelianData.from_tau(0, 1)
+
+
+@pytest.fixture(scope="module")
+def d2(tau_i):
+    return PolarizedAbelianData.product(tau_i, tau_i)
 
 
 def bruteforce_gab0(a, b, u, K=500):
@@ -104,6 +114,53 @@ def test_grade2_assembly(tau_i):
     assert grade.regime == "accelerated"
 
 
+@pytest.mark.parametrize(
+    "case, n", [("tau_i", n) for n in (2, 3, 4, 5)] + [("kappa4", n) for n in (2, 3, 4)] + [("d2", 3), ("d2", 4)]
+)
+def test_grade_is_sum_of_weighted_pieces(request, case, n):
+    """Each grade component is (-1)^a coeff(a, n-a, 0) g_{a,n-a}^0 of the one a
+    whose word it is (the words of different a are disjoint)."""
+    u = D2_POINT if case == "d2" else (0.31, 0.47)
+    if case == "kappa4":  # index 4: the coefficients are +-1/4, not +-1
+        data = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "kappa4.cfg")).data
+    else:
+        data = request.getfixturevalue(case)
+    kappa = dual_lattice(data).kappa
+    grade = g_grade(data, u, n, tol=1e-10)
+    expected = {}
+    for a in range(1, n):
+        weight = (-1) ** a * float(coefficient(a, n - a, 0, data.d, kappa))
+        for key, val in g_abk(data, a, n - a, 0, u, tol=1e-10).components.items():
+            assert key not in expected
+            expected[key] = weight * val
+    assert set(grade.components) == set(expected)
+    scale = max(abs(v) for v in expected.values())
+    for key, val in expected.items():
+        assert abs(grade.components[key] - val) <= 1e-13 * scale, key
+
+
+def test_grade_is_one_zeta_call(tau_i, d2, monkeypatch):
+    orders = []
+
+    def counted(frame, P, u, s, **kw):
+        orders.append(s)
+        return kzeta_accelerated(frame, P, u, s, **kw)
+
+    monkeypatch.setattr(currents, "kzeta_accelerated", counted)
+    g_grade(tau_i, (0.31, 0.47), 5)
+    assert orders == [5]
+    orders.clear()
+    g_grade(d2, D2_POINT, 3)
+    assert orders == [3]
+    orders.clear()
+    g_total(tau_i, (0.31, 0.47), 4)
+    assert orders == [2, 3, 4]
+    orders.clear()
+    for k in (1, 2):
+        assert g_abk(tau_i, 2, 2, k, (0.5, 0.0)).regime == "vanishing"
+    assert orders == []
+
+
 def test_hodge_swap_conjugation(tau_i):
     # at real u: conj(g_{a,b}) = (-1)^{a+b} g_{b,a} (lambda -> -lambda plus
     # character conjugation), so the assembled grade is conjugated by
@@ -132,12 +189,19 @@ def test_grades_vs_bruteforce(tau_i):
             assert abs(grade.component(word) - expect) <= 1e-7 + tail, (n, a, b)
 
 
-def test_certificate_monotonicity(tau_i):
-    loose = g_grade(tau_i, (0.31, 0.47), 4, tol=1e-6)
-    tight = g_grade(tau_i, (0.31, 0.47), 4, tol=1e-10)
-    assert tight.error_bound < loose.error_bound
-    for key in loose.components:
-        assert abs(loose.components[key] - tight.components[key]) <= loose.error_bound + 1e-12
+def test_certificate_monotonicity(tau_i, d2):
+    for data, u, n in ((tau_i, (0.31, 0.47), 4), (d2, D2_POINT, 3)):
+        loose = g_grade(data, u, n, tol=1e-6)
+        tight = g_grade(data, u, n, tol=1e-10)
+        assert tight.error_bound < loose.error_bound
+        for key in loose.components:
+            assert abs(loose.components[key] - tight.components[key]) <= loose.error_bound + 1e-12
+        # the grade is certified as one vector: its bound covers every component
+        reference = g_grade(data, u, n, tol=1e-13)
+        for tol in (1e-4, 1e-8):
+            value = g_grade(data, u, n, tol=tol)
+            for key, ref in reference.components.items():
+                assert abs(value.components[key] - ref) <= value.error_bound + reference.error_bound, (n, tol, key)
 
 
 def test_abel_limit_corroborates_grade2(tau_i):
