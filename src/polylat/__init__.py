@@ -2,18 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .lattice import (
-    DualLattice,
-    HodgeVector,
-    PolarizedAbelianData,
-    SumLattice,
-    character,
-    dual_lattice,
-    enumerate_shell,
-    hodge_split,
-    q_form,
-)
-
 __all__ = [
     "DualLattice",
     "HodgeVector",
@@ -26,3 +14,13 @@ __all__ = [
     "q_form",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """The names of __all__ from `lattice`, imported on first access so that
+    importing a submodule (the CLI, say) does not import numpy."""
+    if name in __all__:
+        from . import lattice
+
+        return getattr(lattice, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,12 +23,11 @@ import numpy as np
 
 from .errors import OutOfRange, QuadratureUnstable, ZeroSectionSingularity
 from .lattice import SumLattice, dual_lattice
+from .polarized import CONVENTION_NOTE
 from .polygauss import VectorPolynomial
 from .symalg import SymElem, c_n_contraction
 from .torus import double_contraction_forms
 from .zeta import kzeta_accelerated
-
-CONVENTION_NOTE = "iota=2*pi*i substituted numerically; omega = pairing/2; E(Jl,l)>0"
 
 
 def coefficient(a, b, k, d, kappa):

@@ -12,15 +12,30 @@ current engine.
 
 from fractions import Fraction
 import math
+import random
 
 from . import ratlin
 from .errors import TruncationOverflow
+from .polarized import PolarizedAbelianData
 
 HARD_SYM_CAP = 12
 
 
+def _exact(x):
+    """An exact rational as a Python int when integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class ExactScalar:
-    """Element of Q(i)[iota]: map iota_power -> (rational re, rational im)."""
+    """Element of Q(i)[iota]: map iota_power -> (rational re, rational im).
+
+    Integral parts are kept as Python ints and the others as Fractions;
+    since Fraction(n) == n with equal hashes, equality, hashing and repr
+    do not see the difference.
+    """
 
     __slots__ = ("parts",)
 
@@ -28,17 +43,17 @@ class ExactScalar:
         self.parts = {}
         if parts:
             for k, (re, im) in parts.items():
-                re, im = Fraction(re), Fraction(im)
+                re, im = _exact(re), _exact(im)
                 if re or im:
                     self.parts[int(k)] = (re, im)
 
     @classmethod
     def from_rational(cls, re, im=0, iota_power=0):
-        return cls({iota_power: (Fraction(re), Fraction(im))})
+        return cls({iota_power: (re, im)})
 
     @classmethod
     def one(cls):
-        return cls({0: (Fraction(1), Fraction(0))})
+        return cls({0: (1, 0)})
 
     def __bool__(self):
         return bool(self.parts)
@@ -52,7 +67,7 @@ class ExactScalar:
     def __add__(self, other):
         out = dict(self.parts)
         for k, (re, im) in other.parts.items():
-            r0, i0 = out.get(k, (Fraction(0), Fraction(0)))
+            r0, i0 = out.get(k, (0, 0))
             out[k] = (r0 + re, i0 + im)
         return ExactScalar(out)
 
@@ -70,7 +85,7 @@ class ExactScalar:
             for k2, (c, d) in other.parts.items():
                 k = k1 + k2
                 re, im = a * c - b * d, a * d + b * c
-                r0, i0 = out.get(k, (Fraction(0), Fraction(0)))
+                r0, i0 = out.get(k, (0, 0))
                 out[k] = (r0 + re, i0 + im)
         return ExactScalar(out)
 
@@ -353,3 +368,44 @@ def double_contraction_forms(data):
             ep = [ExactScalar.from_rational(int(i == p)) for i in range(n)]
             table[(p, q)] = contract(inner, ep)
     return table
+
+
+# ---------------------------------------------------------------------------
+# flatness
+
+
+def random_form(rng, data, trunc, nterms=5):
+    f = FourierForm(data, trunc)
+    n = data.rank
+    for _ in range(nterms):
+        char = tuple(Fraction(rng.randrange(-2, 3)) for _ in range(n))
+        ext = tuple(sorted(rng.sample(range(n), rng.randrange(0, n + 1))))
+        word = tuple(sorted(rng.choices(range(n), k=rng.randrange(0, trunc))))
+        coef = ExactScalar.from_rational(
+            Fraction(rng.randrange(-3, 4), rng.randrange(1, 5)),
+            Fraction(rng.randrange(-2, 3)),
+            rng.randrange(0, 2),
+        )
+        f._accumulate((char, ext, word), coef)
+    return f
+
+
+def flatness_holds(n_forms=200, seed=6):
+    """d d f = 0 and nabla nabla f = 0 for n_forms seeded random forms
+    (alternately over tau = i and a rank-4 product), and d nu = 0."""
+    rng = random.Random(seed)
+    data1 = PolarizedAbelianData.from_tau(0, 1)
+    data2 = PolarizedAbelianData.product(
+        PolarizedAbelianData.from_tau(0, 1),
+        PolarizedAbelianData.from_tau(Fraction(1, 2), Fraction(3, 2)),
+    )
+    ok = True
+    for i in range(n_forms):
+        data = data1 if i % 2 == 0 else data2
+        trunc = rng.randrange(1, 5)
+        f = random_form(rng, data, trunc)
+        ok &= exterior_d(exterior_d(f)).is_zero()
+        ok &= log_connection(log_connection(f)).is_zero()
+    for data in (data1, data2):
+        ok &= exterior_d(nu_form(data, 4)).is_zero()
+    return bool(ok)

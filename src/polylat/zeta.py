@@ -209,6 +209,11 @@ def _gamma_k(frame, P, us, s, A, piece_tol):
     if np.any(p0 != 0) and abs(s) < _POLE_TOL:
         raise PoleAtS("boundary term P(0) A^s / s has a pole at s = 0")
 
+    # the direct radius needs only P: an exceeded budget is found before
+    # the Gaussian transform is built
+    tail_i = _gamma_direct_tail(frame, P, s, A)
+    R_i = solve_radius(tail_i, piece_tol, frame.gram, GAMMA_POINT_BUDGET, "accelerated zeta (direct piece)")
+
     # the transformed polynomial does not depend on the shift h
     gf = gaussian_ft(P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
     by_tpow = gf.monomials_by_tpower()
@@ -231,11 +236,9 @@ def _gamma_k(frame, P, us, s, A, piece_tol):
 
     V = frame.dual_basis
     gram_d = V.T @ gf.dual_form @ V
-    tail_i = _gamma_direct_tail(frame, P, s, A)
     tail_ii = _gamma_dual_tail(gram_d, gf, by_tpow, rhos, A)
-    # both radii, and the dual candidates' radius, meet the point budget
-    # before either piece is summed
-    R_i = solve_radius(tail_i, piece_tol, frame.gram, GAMMA_POINT_BUDGET, "accelerated zeta (direct piece)")
+    # the dual radius, and the dual candidates' radius, meet the point
+    # budget before either piece is summed
     R_ii = solve_radius(tail_ii, piece_tol, gram_d, GAMMA_POINT_BUDGET, "accelerated zeta (dual piece)")
     hs = np.array([frame.reduce_point(u) for u in us])
     centers = -np.linalg.solve(V, hs.T).T

@@ -249,6 +249,49 @@ def test_cli_import_leaves_scipy_out():
     assert proc.returncode == 0, proc.stderr
 
 
+def _loaded_after(*statements):
+    """(stdout before the last line, set of modules) of a fresh interpreter
+    that runs the statements."""
+    code = "\n".join(("import sys",) + statements + ("print(' '.join(sys.modules))",))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *out, modules = proc.stdout.splitlines()
+    return out, set(modules.split())
+
+
+ENGINES = ("theta", "zeta", "currents", "verify", "symalg", "torus", "bm")
+
+
+def test_cli_import_loads_no_engine():
+    _, modules = _loaded_after("import polylat.cli")
+    assert "numpy" not in modules
+    assert not {f"polylat.{m}" for m in ENGINES} & modules
+
+
+def test_cli_algebra_verify_without_numpy():
+    argv = ["algebra", "verify", "--m", "4", "--n", "4", "--hdim", "2", "--nmax", "5"]  # the README command
+    out, modules = _loaded_after("import polylat.cli", f"print(polylat.cli.main({argv!r}))")
+    assert out[-1] == "0"
+    assert all(json.loads(line)["status"] == "pass" for line in out[:-1])
+    assert "numpy" not in modules
+
+
+def test_cli_lattice_info_loads_no_zeta(tmp_path):
+    path = write(tmp_path, "a.cfg", TAU_I)
+    out, modules = _loaded_after("import polylat.cli", f"print(polylat.cli.main(['lattice', 'info', {path!r}]))")
+    assert out[-1] == "0"
+    assert not {"polylat.currents", "polylat.zeta"} & modules
+
+
+def test_package_reexports_resolve_lazily():
+    import polylat
+    import polylat.lattice
+
+    assert polylat.PolarizedAbelianData is polylat.lattice.PolarizedAbelianData
+    with pytest.raises(AttributeError):
+        polylat.no_such_name
+
+
 def test_cli_closed_stdout_exit_code(tmp_path):
     # the reader has gone before anything is flushed, as with `| head -1`
     path = write(tmp_path, "a.cfg", TAU_I)

@@ -64,6 +64,17 @@ def test_budget_exceeded_every_engine(what, call, monkeypatch):
         call(_tau_i())
 
 
+def test_direct_piece_budget_before_gaussian_transform(monkeypatch):
+    # the direct radius needs only P: a tiny split point fails before the
+    # Gaussian transform, which costs most for high-degree P, is built
+    def no_transform(*args, **kwargs):
+        raise AssertionError("transformed before the direct budget check")
+
+    monkeypatch.setattr(zeta, "gaussian_ft", no_transform)
+    with pytest.raises(BudgetExceeded, match="^" + re.escape("accelerated zeta (direct piece): ")):
+        kzeta_accelerated(_tau_i(), _P, _U, 3.0, split_a=1e-9)
+
+
 def test_direct_zeta_fails_fast_off_lattice(monkeypatch):
     # the rank-4 tail at s = 2.6 needs an ellipsoid of ~1e38 points; the
     # budget is checked from the closed-form tail before anything is enumerated

@@ -187,3 +187,49 @@ def test_exact_scalar_ring():
     import cmath
 
     assert abs(a.numeric() - (0.5 - 1j / 3) * 2j * cmath.pi) < 1e-15
+
+
+def _fraction_scalar(parts):
+    """An ExactScalar whose parts are all Fractions, bypassing normalization."""
+    x = object.__new__(ExactScalar)
+    x.parts = {k: (Fraction(re), Fraction(im)) for k, (re, im) in parts.items() if re or im}
+    return x
+
+
+def _fraction_ops(p, q):
+    """+, - and * on {iota power: (re, im)} dicts, all in Fractions (keys
+    in the order ExactScalar makes them, so numeric() sums in that order)."""
+    add, sub, mul = {}, {}, {}
+    for k in list(p) + [k for k in q if k not in p]:
+        (a, b), (c, d) = p.get(k, (0, 0)), q.get(k, (0, 0))
+        add[k] = (Fraction(a) + c, Fraction(b) + d)
+        sub[k] = (Fraction(a) - c, Fraction(b) - d)
+    for k1, (a, b) in p.items():
+        for k2, (c, d) in q.items():
+            r0, i0 = mul.get(k1 + k2, (Fraction(0), Fraction(0)))
+            mul[k1 + k2] = (r0 + Fraction(a) * c - Fraction(b) * d, i0 + Fraction(a) * d + Fraction(b) * c)
+    return [_fraction_scalar(x) for x in (add, sub, mul)]
+
+
+def test_exact_scalar_int_parts_match_fractions():
+    # integral parts are ints, the rest Fractions: every result equals the
+    # all-Fraction one, with the same hash, repr and numeric value
+    rng = random.Random(3)
+
+    def parts():
+        return {
+            k: (Fraction(rng.randrange(-4, 5), rng.choice([1, 1, 2, 3])), Fraction(rng.randrange(-4, 5), rng.choice([1, 2])))
+            for k in rng.sample(range(3), rng.randrange(0, 4))
+        }
+
+    for _ in range(300):
+        p, q = parts(), parts()
+        x, y = ExactScalar(p), ExactScalar(q)
+        for got, want in zip((x + y, x - y, x * y), _fraction_ops(p, q)):
+            assert got == want and want == got
+            assert hash(got) == hash(want)
+            assert repr(got) == repr(want)
+            assert got.numeric() == want.numeric()
+            for re, im in got.parts.values():
+                for v in (re, im):
+                    assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
