@@ -102,16 +102,7 @@ def beta_eval(d, z):
     z = np.asarray(z, dtype=complex).reshape(d)
     if np.all(z == 0):
         raise OriginSingularity("beta is singular at the origin")
-    w = (F_ALPHA - F_BETA) * z
-    norm2d = float(np.sum(np.abs(w) ** 2)) ** d
-    forms = _kernel_forms(d)
-    c = _constant(d)
-    out = {}
-    for j in range(d):
-        factor = c * (-1) ** j * np.conj(w[j]) / norm2d
-        for subset, coeff in forms[j].items():
-            out[subset] = out.get(subset, 0j) + factor * coeff
-    return out
+    return {subset: vals[0] for subset, vals in beta_coeff_arrays(d, z[None, :]).items()}
 
 
 def beta_coeff_arrays(d, zs):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 # Each command imports the engines it runs, so that a command pays only
 # for those (`algebra verify` never imports numpy).
-from .errors import ConfigError, OutOfRange, PolylatError
+from .errors import ConfigError, PolylatError
 
 
 def _json_default(obj):
@@ -338,15 +338,16 @@ def cmd_current_scan(args):
     cfg = load_config(args.config)
     if cfg.lattice_kind != "abelian":
         raise ConfigError("current scan needs abelian lattice data")
-    if args.grade < 2:  # before the header, so a failed scan writes nothing
-        raise OutOfRange("grades start at n = 2")
     n = args.grid_n
     writer = csv.writer(sys.stdout)
     rank = cfg.data.rank
-    writer.writerow([f"u{i + 1}" for i in range(rank)] + ["component", "value_re", "value_im"])
+    header = [f"u{i + 1}" for i in range(rank)] + ["component", "value_re", "value_im"]
     for idx in itertools.product(range(n), repeat=rank):
         u = tuple((i + 0.5) / n for i in idx)
         cv = g_grade(cfg.data, u, args.grade, tol=cfg.tol(args.tol))
+        if header:  # written with the first row, so a scan failing at its first point writes nothing
+            writer.writerow(header)
+            header = None
         for (word, ext), v in sorted(cv.components.items()):
             writer.writerow(
                 [f"{x:.12g}" for x in u]

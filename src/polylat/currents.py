@@ -24,7 +24,7 @@ import numpy as np
 from .errors import OutOfRange, QuadratureUnstable, ZeroSectionSingularity
 from .lattice import SumLattice, dual_lattice
 from .polarized import CONVENTION_NOTE
-from .polygauss import VectorPolynomial
+from .polygauss import VectorPolynomial, linear_form_products
 from .symalg import SymElem, c_n_contraction
 from .torus import double_contraction_forms
 from .zeta import kzeta_accelerated
@@ -59,9 +59,6 @@ class TorsionPoint:
         if order == 1:
             raise ZeroSectionSingularity("point lies on the zero section")
         return cls(u=u, order=order)
-
-    def floats(self):
-        return np.array([float(x) for x in self.u], dtype=float)
 
 
 @dataclass
@@ -100,18 +97,15 @@ class HodgeFrame:
         jf = data.j_float()
         p_minus = (np.eye(n) - 1j * jf) / 2.0
         cols = []
-        chosen = []
         for j in range(n):
             trial = cols + [p_minus[:, j]]
             if np.linalg.matrix_rank(np.array(trial).T, tol=1e-10) == len(trial):
                 cols.append(p_minus[:, j])
-                chosen.append(j)
             if len(cols) == data.d:
                 break
         if len(cols) != data.d:
             raise ZeroSectionSingularity("failed to extract a Hodge basis")
         self.basis_minus = np.array(cols).T  # 2d x d, columns f_j
-        self.chosen_columns = chosen
         f = self.basis_minus
         self.coords_minus = np.linalg.solve(f.conj().T @ f, f.conj().T) @ p_minus
         resid = np.max(np.abs(f @ self.coords_minus - p_minus))
@@ -123,95 +117,52 @@ class HodgeFrame:
         return np.vstack([self.coords_minus, self.coords_minus.conj()])
 
 
-def _poly_product(p1, p2, nvars):
-    out = {}
-    for a1, c1 in p1.items():
-        for a2, c2 in p2.items():
-            key = tuple(x + y for x, y in zip(a1, a2))
-            out[key] = out.get(key, 0j) + c1 * c2
-    return out
+def _words(d, a, b):
+    """The words of the multinomial expansion of (l^{0,-1})^{a-1} (l^{-1,0})^{b-1}.
 
-
-def _linear_form_poly(row, nvars):
-    zero = (0,) * nvars
-    out = {}
-    for j, c in enumerate(row):
-        if c != 0:
-            key = list(zero)
-            key[j] = 1
-            out[tuple(key)] = complex(c)
-    return out if out else {zero: 0j}
-
-
-def _word_polynomials(rows, d, a, b):
-    """Multinomial expansion of (l^{0,-1})^{a-1} (l^{-1,0})^{b-1}.
-
-    Returns {word: poly-in-lambda dict}, word = sorted symbols with
-    0..d-1 for the (-1,0) side (exponent b-1) and d..2d-1 for (0,-1)
-    (exponent a-1); each word's coefficient already carries its
-    multinomial weight.
+    Yields (word, weight): word = sorted symbols, 0..d-1 for the (-1,0)
+    side (b-1 of them) and d..2d-1 for (0,-1) (a-1 of them); weight is the
+    word's multinomial coefficient.
     """
-    nvars = rows.shape[1]
-    zero_poly = {(0,) * nvars: 1.0 + 0j}
-    out = {(): zero_poly}
-    for count, symbols in ((b - 1, range(d)), (a - 1, range(d, 2 * d))):
-        if count == 0:
-            continue
-        expanded = {}
-        for alphas in itertools.combinations_with_replacement(symbols, count):
-            weight = math.factorial(count)
-            for sym in set(alphas):
-                weight //= math.factorial(alphas.count(sym))
-            poly = {(0,) * nvars: complex(weight)}
-            for sym in alphas:
-                poly = _poly_product(poly, _linear_form_poly(rows[sym], nvars), nvars)
-            expanded[alphas] = poly
-        merged = {}
-        for word0, poly0 in out.items():
-            for alphas, poly in expanded.items():
-                word = tuple(sorted(word0 + alphas))
-                add = _poly_product(poly0, poly, nvars)
-                if word in merged:
-                    for kk, vv in add.items():
-                        merged[word][kk] = merged[word].get(kk, 0j) + vv
-                else:
-                    merged[word] = dict(add)
-        out = merged
-    return out
+    for low in itertools.combinations_with_replacement(range(d), b - 1):
+        for high in itertools.combinations_with_replacement(range(d, 2 * d), a - 1):
+            word = low + high
+            weight = math.factorial(b - 1) * math.factorial(a - 1)
+            for sym in set(word):
+                weight //= math.factorial(word.count(sym))
+            yield word, weight
 
 
-def _contraction_quadratics(data, frame_rows):
+def _contraction_quadratics(data):
     """Exterior coefficients of i_{l^{-1,0}} i_{l^{0,-1}} omega^d.
 
-    For each exterior monomial I returns a quadratic-in-lambda polynomial
-    dict, assembled bilinearly from the exact basis table
-    i_{e_p} i_{e_q} omega^d with weights (P_- l)_p (P_+ l)_q.
+    Each is a quadratic in lambda, assembled bilinearly from the exact
+    basis table i_{e_p} i_{e_q} omega^d with weights (P_- l)_p (P_+ l)_q.
+    Returns (exts, exponents, quads): the exterior monomials whose
+    quadratic is not zero, the multi-indices that occur and the
+    (monomials x exts) coefficient matrix.
     """
     n = data.rank
-    jf = data.j_float()
-    p_minus = (np.eye(n) - 1j * jf) / 2.0
-    p_plus = p_minus.conj()
-    table = double_contraction_forms(data)
-    quads = {}
-    for (p, q), form in table.items():
-        for (char, ext, _word), coef in form.terms.items():
-            if any(x != 0 for x in char):
-                continue
-            c = coef.numeric()
-            if c == 0:
-                continue
-            # weight (P_- l)_p (P_+ l)_q: quadratic polynomial in l
-            rowp = _linear_form_poly(p_minus[p], n)
-            rowq = _linear_form_poly(p_plus[q], n)
-            quad = _poly_product(rowp, rowq, n)
-            dst = quads.setdefault(ext, {})
-            for kk, vv in quad.items():
-                dst[kk] = dst.get(kk, 0j) + c * vv
-    return {
-        ext: {k: v for k, v in poly.items() if v != 0}
-        for ext, poly in quads.items()
-        if any(v != 0 for v in poly.values())
-    }
+    p_minus = (np.eye(n) - 1j * data.j_float()) / 2.0
+    terms = [
+        (p, q, ext, coef.numeric())
+        for (p, q), form in double_contraction_forms(data).items()
+        for (char, ext, _word), coef in form.terms.items()
+        if not any(char)
+    ]
+    exts = sorted({ext for _p, _q, ext, _c in terms})
+    powers = np.zeros((len(terms), 2 * n), dtype=int)
+    weights = np.zeros((len(terms), len(exts)), dtype=complex)
+    for i, (p, q, ext, c) in enumerate(terms):
+        powers[i, p] += 1
+        powers[i, n + q] += 1
+        weights[i, exts.index(ext)] = c
+    exps, products = linear_form_products(np.vstack([p_minus, p_minus.conj()]), powers)
+    quads = products @ weights
+    nonzero = quads != 0
+    keep = nonzero.any(axis=0)
+    rows = nonzero.any(axis=1)
+    return [ext for ext, k in zip(exts, keep) if k], exps[rows], quads[rows][:, keep]
 
 
 def _dual_frame(data, u):
@@ -232,28 +183,29 @@ def _current(data, u, n, weights, tol):
     error bound is that one call's bound on the whole vector.
     """
     frame = _dual_frame(data, u)
-    rows = HodgeFrame(data).coordinate_rows()
-    quads = _contraction_quadratics(data, rows)
-    rank = data.rank
-    pieces = []  # ((word, ext), weight, numerator polynomial)
+    exts, betas, quads = _contraction_quadratics(data)
+    # a word times a quadratic monomial lambda^beta is one product of
+    # linear forms: the word's Hodge coordinate rows, then beta's unit rows
+    forms = np.vstack([HodgeFrame(data).coordinate_rows(), np.eye(data.rank)])
+    words, powers, scale = [], [], []
     for a, weight in weights.items():
-        words = _word_polynomials(rows, data.d, a, n - a)
-        for ext in sorted(quads):
-            for word in sorted(words):
-                pieces.append(((word, ext), weight, _poly_product(words[word], quads[ext], rank)))
-    coeffs = {}
-    for idx, (_comp, weight, poly) in enumerate(pieces):
-        for alpha, c in poly.items():
-            if c == 0:
-                continue
-            vec = coeffs.setdefault(alpha, np.zeros(len(pieces), dtype=complex))
-            vec[idx] += weight * c
-    P = VectorPolynomial(rank, coeffs, target_dim=len(pieces), homogeneous=True)
+        for word, mult in _words(data.d, a, n - a):
+            counts = [word.count(sym) for sym in range(2 * data.d)]
+            words.append(word)
+            powers.extend(counts + beta for beta in betas.tolist())
+            scale.append(weight * mult)
+    exps, products = linear_form_products(forms, powers)
+    # component (word, ext): sum over beta of quads[beta, ext] times word * lambda^beta
+    coeffs = np.einsum(
+        "kwb,be,w->kwe", products.reshape(len(exps), len(words), len(betas)), quads, np.array(scale)
+    ).reshape(len(exps), -1)
+    comps = [(word, ext) for word in words for ext in exts]
+    P = VectorPolynomial(data.rank, dict(zip(map(tuple, exps.tolist()), coeffs)), target_dim=len(comps))
     zv = kzeta_accelerated(frame, P, u, n, tol=tol)
     return CurrentValue(
         sym_degree=n - 2,
         form_degree=2 * data.d - 2,
-        components={comp: complex(zv.value[i]) for i, (comp, _weight, _poly) in enumerate(pieces)},
+        components={comp: complex(v) for comp, v in zip(comps, zv.value)},
         point=tuple(float(x) for x in u),
         regime=zv.regime,
         error_bound=zv.error_bound,

@@ -15,6 +15,7 @@ t-exponent to the coefficient).
 """
 
 from dataclasses import dataclass, field
+import functools
 import itertools
 import math
 
@@ -37,14 +38,22 @@ class VectorPolynomial:
         self.homogeneous = bool(homogeneous)
         self.coeffs = {}
         for alpha, vec in coeffs.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.arity or any(a < 0 for a in alpha):
+            alpha = tuple(map(int, alpha))
+            if len(alpha) != self.arity or min(alpha, default=0) < 0:
                 raise ArityMismatch(f"bad multi-index {alpha}")
             v = np.atleast_1d(np.asarray(vec, dtype=complex))
             if v.shape != (self.target_dim,):
                 raise ArityMismatch("coefficient vector has wrong dimension")
-            if np.any(v != 0):
-                self.coeffs[alpha] = v
+            self.coeffs[alpha] = v
+        # the evaluator's form of coeffs: one multi-index and one coefficient
+        # row per nonzero monomial, and the coordinates that occur
+        self.matrix = np.array(list(self.coeffs.values()), dtype=complex).reshape(-1, self.target_dim)
+        nonzero = self.matrix.any(axis=1)
+        if not nonzero.all():
+            self.coeffs = {alpha: v for (alpha, v), keep in zip(self.coeffs.items(), nonzero) if keep}
+            self.matrix = self.matrix[nonzero]
+        self.exponents = np.array(list(self.coeffs), dtype=int).reshape(-1, self.arity)
+        self._occurring = [(j, max(col)) for j, col in enumerate(zip(*self.coeffs)) if max(col)]
         degrees = {sum(a) for a in self.coeffs}
         self.degree = max(degrees, default=0)
         if self.homogeneous and len(degrees) > 1:
@@ -60,25 +69,31 @@ class VectorPolynomial:
         return cls(arity, {tuple(alpha): np.array([coeff], dtype=complex)})
 
     def evaluate(self, lam):
-        lam = np.asarray(lam, dtype=complex)
+        lam = np.asarray(lam)
         if lam.shape != (self.arity,):
             raise ArityMismatch(f"expected {self.arity} coordinates, got {lam.shape}")
-        out = np.zeros(self.target_dim, dtype=complex)
-        for alpha, vec in self.coeffs.items():
-            out += vec * np.prod(lam**np.array(alpha))
-        return out
+        return self.evaluate_many(lam[None, :])[0]
 
     def evaluate_many(self, pts):
         """Vectorized evaluation; pts is (n, arity), result (n, target_dim)."""
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros((pts.shape[0], self.target_dim), dtype=complex)
-        for alpha, vec in self.coeffs.items():
-            mono = np.ones(pts.shape[0])
-            for j, a in enumerate(alpha):
-                if a:
-                    mono = mono * pts[:, j] ** a
-            out += mono[:, None] * vec[None, :]
-        return out
+        pts = np.asarray(pts, dtype=complex if np.iscomplexobj(pts) else float)
+        return _times(self.monomial_table(pts), self.matrix)
+
+    def monomial_table(self, pts):
+        """The (points x monomials) table of pts^alpha for an (n, arity) array pts.
+
+        One column per row of exponents; times `matrix` it gives the values.
+        The powers of each coordinate that occurs are taken once, by
+        repeated multiplication up to its highest exponent.
+        """
+        table = np.ones((len(self.exponents), len(pts)), dtype=pts.dtype)
+        for j, top in self._occurring:
+            powers = np.empty((top + 1, len(pts)), dtype=pts.dtype)
+            powers[0] = 1.0
+            for k in range(top):
+                powers[k + 1] = powers[k] * pts[:, j]
+            table *= powers[self.exponents[:, j]]
+        return table.T
 
     def value_at_zero(self):
         return self.coeffs.get((0,) * self.arity, np.zeros(self.target_dim, dtype=complex))
@@ -91,6 +106,14 @@ class VectorPolynomial:
 
     def is_zero(self):
         return not self.coeffs
+
+
+def _times(table, matrix):
+    """table @ matrix for a complex matrix; a real table multiplies the real
+    and imaginary parts in one real product, with no complex copy of it."""
+    if np.iscomplexobj(table):
+        return np.dot(table, matrix)
+    return np.dot(table, matrix.view(float)).view(complex)
 
 
 @dataclass
@@ -110,12 +133,18 @@ class GaussPolyFactor:
     poly: dict = field(default_factory=dict)  # (alpha, m) -> complex vector
     target_dim: int = 1
 
-    def poly_eval(self, w, t):
-        w = np.asarray(w, dtype=float)
-        out = np.zeros(self.target_dim, dtype=complex)
+    def __post_init__(self):
+        # poly(w; t) = sum over m of t^-m by_tpower[m](w)
+        groups = {}
         for (alpha, m), vec in self.poly.items():
-            out += vec * np.prod(w**np.array(alpha)) * t ** (-m)
-        return out
+            groups.setdefault(m, {})[alpha] = vec
+        self.by_tpower = {
+            m: VectorPolynomial(len(self.shift), groups[m], self.target_dim, homogeneous=False)
+            for m in sorted(groups)
+        }
+
+    def poly_eval(self, w, t):
+        return self.poly_eval_many(np.asarray(w, dtype=float)[None, :], t)[0]
 
     def evaluate(self, p, t):
         w = np.asarray(p, dtype=float) + self.shift
@@ -131,20 +160,13 @@ class GaussPolyFactor:
         """poly(w; t) for each row of ws, shape (n, target_dim)."""
         ws = np.asarray(ws, dtype=float)
         out = np.zeros((ws.shape[0], self.target_dim), dtype=complex)
-        for (alpha, m), vec in self.poly.items():
-            mono = np.ones(ws.shape[0])
-            for j, a in enumerate(alpha):
-                if a:
-                    mono = mono * ws[:, j] ** a
-            out += (mono * t ** (-m))[:, None] * vec[None, :]
+        for m, part in self.by_tpower.items():
+            out += _times(part.monomial_table(ws), part.matrix * t ** (-m))
         return out
 
     def monomials_by_tpower(self):
         """Map m -> list of (alpha, coeff vector); used by the Mellin split."""
-        out = {}
-        for (alpha, m), vec in self.poly.items():
-            out.setdefault(m, []).append((alpha, vec))
-        return dict(sorted(out.items()))
+        return {m: list(part.coeffs.items()) for m, part in self.by_tpower.items()}
 
     def poly_degree(self):
         return max((sum(alpha) for (alpha, _m) in self.poly), default=0)
@@ -219,38 +241,30 @@ def gaussian_ft(P, q, h=None, pairing=None, vol_scale=1.0):
     disc = vol_scale * math.pi ** (r / 2) / math.sqrt(np.linalg.det(m))
 
     moments = _wick_moments(minv, P.degree)
-    poly = {}
-
-    def add(alpha, m_pow, vec):
-        key = (alpha, m_pow)
-        cur = poly.get(key)
-        poly[key] = vec.copy() if cur is None else cur + vec
-
+    # P term cvec * x^alpha with x = y + x0: each y^beta x0^gamma (gamma =
+    # alpha - beta) contributes its Gaussian moment times (pi i / t)^|gamma|
+    # (dmat @ w)^gamma, collected per (gamma, power of 1/t)
+    weights = {}
     for alpha, cvec in P.coeffs.items():
-        # P term: cvec * prod_j x_j^{alpha_j}; expand (y + x0)^alpha
-        ranges = [range(a + 1) for a in alpha]
-        for beta in itertools.product(*ranges):
-            # y^beta picked, x0^{alpha-beta} remaining
-            if sum(beta) % 2 == 1:
-                continue
-            gamma = tuple(a - bb for a, bb in zip(alpha, beta))
-            binom = 1.0
-            for a, bb in zip(alpha, beta):
-                binom *= math.comb(a, bb)
-            mom = moments[beta]
+        for beta in itertools.product(*[range(a + 1) for a in alpha]):
+            mom = moments[beta]  # 0 for odd |beta|
             if mom == 0.0:
                 continue
             half = sum(beta) // 2
-            gauss_coef = binom * mom / (2.0**half)
-            x0_coef = (math.pi * 1j) ** sum(gamma)
-            t_pow = half + sum(gamma)
-            # expand (dmat @ w)^gamma into monomials of w
-            for walpha, wcoef in _expand_linear_power(dmat, gamma).items():
-                vec = cvec * (gauss_coef * x0_coef * wcoef)
-                if np.any(vec != 0):
-                    add(walpha, t_pow, vec)
+            gamma = tuple(a - bb for a, bb in zip(alpha, beta))
+            binom = math.prod(math.comb(a, bb) for a, bb in zip(alpha, beta))
+            key = (gamma, half + sum(gamma))
+            vec = cvec * (binom * mom / 2.0**half * (math.pi * 1j) ** sum(gamma))
+            weights[key] = vec + weights[key] if key in weights else vec
 
-    poly = {k: v for k, v in poly.items() if np.max(np.abs(v)) > 0.0}
+    keys = list(weights)
+    exps, expanded = linear_form_products(dmat, [gamma for gamma, _m in keys])
+    poly = {}
+    for m in sorted({m for _gamma, m in keys}):
+        cols = [i for i, key in enumerate(keys) if key[1] == m]
+        block = expanded[:, cols] @ np.array([weights[keys[i]] for i in cols])
+        for i in np.flatnonzero(block.any(axis=1)):
+            poly[(tuple(exps[i].tolist()), m)] = block[i]
     return GaussPolyFactor(
         dual_form=qdual,
         shift=h,
@@ -261,20 +275,54 @@ def gaussian_ft(P, q, h=None, pairing=None, vol_scale=1.0):
     )
 
 
-def _expand_linear_power(dmat, gamma):
-    """Expand prod_j (dmat[j] . w)^{gamma_j} into w-monomials."""
-    r = dmat.shape[0]
-    acc = {(0,) * r: 1.0}
-    for j, g in enumerate(gamma):
-        for _ in range(g):
-            nxt = {}
-            for walpha, coef in acc.items():
-                for k in range(r):
-                    if dmat[j, k] == 0.0:
-                        continue
-                    na = list(walpha)
-                    na[k] += 1
-                    na = tuple(na)
-                    nxt[na] = nxt.get(na, 0.0) + coef * dmat[j, k]
-            acc = nxt
-    return acc
+def linear_form_products(forms, powers):
+    """Monomial expansion of prod_j (forms[j] . x)^p_j for each row p of powers.
+
+    Returns (exponents, coeffs): the multi-indices, one row per monomial,
+    and a (monomials x len(powers)) matrix whose column i expands row i.
+    The products of one degree are expanded together over every monomial
+    of that degree, one linear form per step.
+    """
+    forms = np.asarray(forms, dtype=complex)
+    arity = forms.shape[1]
+    groups = {}  # degree -> the products of that degree
+    for i, p in enumerate(powers):
+        groups.setdefault(sum(p), []).append(i)
+    degrees = sorted(groups)
+    exps = np.concatenate([_monomials(arity, deg) for deg in degrees] or [np.zeros((0, arity), dtype=int)])
+    coeffs = np.zeros((len(exps), len(powers)), dtype=complex)
+    row = 0
+    for deg in degrees:
+        cols = groups[deg]
+        # the form taken at each step, one row per product
+        steps = np.array([[j for j, count in enumerate(powers[i]) for _ in range(count)] for i in cols], dtype=int)
+        acc = np.ones((len(cols), 1), dtype=complex)
+        for k in range(deg):
+            # beta of degree k + 1 takes acc[beta - e_j] * form_j over j; a
+            # zero column stands in where beta_j = 0
+            padded = np.concatenate([acc, np.zeros((len(cols), 1))], axis=1)
+            acc = np.einsum("njb,nj->nb", padded[:, _lowered(arity, k + 1)], forms[steps[:, k]])
+        coeffs[row:row + acc.shape[1], cols] = acc.T
+        row += acc.shape[1]
+    return exps, coeffs
+
+
+@functools.lru_cache(maxsize=256)
+def _monomials(arity, deg):
+    """The multi-indices of degree deg in arity variables, one row each (read only)."""
+    combos = itertools.combinations_with_replacement(range(arity), deg)
+    out = np.array([[combo.count(j) for j in range(arity)] for combo in combos], dtype=int)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _lowered(arity, deg):
+    """Row j: for each beta of degree deg, the index of beta - e_j among
+    _monomials(arity, deg - 1), or their count where beta_j = 0."""
+    index = {tuple(alpha): i for i, alpha in enumerate(_monomials(arity, deg - 1).tolist())}
+    betas = _monomials(arity, deg).tolist()
+    return np.array(
+        [[index.get(tuple(beta[:j] + [beta[j] - 1] + beta[j + 1:]), len(index)) for beta in betas] for j in range(arity)],
+        dtype=int,
+    ).reshape(arity, -1)

@@ -226,9 +226,6 @@ class FourierForm:
     def __eq__(self, other):
         return self.terms == other.terms
 
-    def max_ext_degree(self):
-        return max((len(e) for (_c, e, _w) in self.terms), default=0)
-
     def numeric_terms(self):
         """Substitute iota = 2*pi*i; returns {(char, ext, word): complex}."""
         return {k: c.numeric() for k, c in self.terms.items()}

@@ -89,16 +89,16 @@ def _paired_sum(frame, P, us, R, weight):
     chars = [(frame.reduce_point(u), frame.phase_data(u)) for u in us]
     trivial = not any(np.any(h) for h, _phase in chars)  # every character is 1
     constant = P.degree == 0
+    # P(-y) from the table at y: each monomial's sign is (-1)^|alpha|
+    minus = P.matrix * (-1.0) ** P.exponents.sum(axis=1)[:, None]
     acc = CompensatedSum(len(us) * (1 if constant else P.target_dim))
-    for ms, q in ellipsoid_chunks(
-        frame.gram, R, half=True, coords=not (trivial and constant), chunk=_CHUNK
-    ):
+    chunk = max(1, _CHUNK // max(1, len(P.matrix)))  # a monomial table has at most _CHUNK entries
+    for ms, q in ellipsoid_chunks(frame.gram, R, half=True, coords=not (trivial and constant), chunk=chunk):
         w = weight(q)
         if not constant:
-            y = frame.points(ms)
-            p_plus, p_minus = P.evaluate_many(y), P.evaluate_many(-y)
+            table = P.monomial_table(frame.points(ms))
         if trivial:
-            acc.add(np.tile(w.sum() if constant else w @ (p_plus + p_minus), len(us)))
+            acc.add(np.tile(w.sum() if constant else (w @ table) @ (P.matrix + minus), len(us)))
             continue
         parts = []
         for block in _blocks(chars, len(q)):
@@ -106,7 +106,8 @@ def _paired_sum(frame, P, us, R, weight):
             if constant:
                 parts.append(w @ chi.real)
             else:
-                parts.append((w[:, None] * chi).T @ p_plus + (w[:, None] * np.conj(chi)).T @ p_minus)
+                plus_part = ((w[:, None] * chi).T @ table) @ P.matrix
+                parts.append(plus_part + ((w[:, None] * np.conj(chi)).T @ table) @ minus)
         acc.add(np.concatenate(parts, axis=None))
     if constant:
         return 2.0 * acc.value[:, None] * P.value_at_zero()
@@ -253,7 +254,7 @@ def _gamma_k(frame, P, us, s, A, piece_tol):
         return upper_gamma(s, A * q) * np.exp(-s * np.log(q))
 
     sum_i = _paired_sum(frame, P, us, R_i, gamma_weight)
-    sum_ii = _dual_sum(gram_d, V, gf, by_tpow, rhos, centers, A, R_ii, R_c)
+    sum_ii = _dual_sum(gram_d, V, gf, rhos, centers, A, R_ii, R_c)
 
     total = sum_i + gf.disc_factor * (sum_ii + on_lattice[:, None] * zero_term)
     if np.any(p0 != 0):
@@ -296,35 +297,36 @@ def _gamma_dual_tail(gram, gf, by_tpow, rhos, A):
     )
 
 
-def _dual_sum(gram, V, gf, by_tpow, rhos, centers, A, R, R_c):
+def _dual_sum(gram, V, gf, rhos, centers, A, R, R_c):
     """Row k: sum over 0 < Qdual(w) <= R of the term-by-term Mellin integrals
     over (0, A], at the points w = V m + h_k (V the dual basis).
 
     Those are the m with Q(m - c_k) <= R for Q(x) = x^T gram x and
     c_k = -V^{-1} h_k.  The candidates m are enumerated once, about the
     origin within R_c >= (sqrt(R) + max_k sqrt(Q(c_k)))^2, and each block
-    of centers (block x candidates at most _CHUNK) keeps its own; the
-    incomplete gamma runs once per order over the whole block.
+    of centers keeps its own; block x candidates x monomials is at most
+    _CHUNK.  Per power t^-m, the incomplete gamma runs once over the whole
+    block and scales that power's monomial table, summed per point.
     """
     n, dim = len(centers), gf.target_dim
+    per_point = max((len(part.matrix) for part in gf.by_tpower.values()), default=1)
     acc = CompensatedSum(n * dim)
-    for ms, _q in ellipsoid_chunks(gram, R_c, chunk=_CHUNK):
+    for ms, _q in ellipsoid_chunks(gram, R_c, chunk=max(1, _CHUNK // per_point)):
         parts = []
-        for block in _blocks(centers, len(ms)):
+        for block in _blocks(centers, len(ms) * per_point):
             x = ms[None, :, :] - block[:, None, :]  # m - c, block x candidates x rank
             qd = np.einsum("bij,jk,bik->bi", x, gram, x)
             keep = (qd > SNAP_TOL) & (qd <= R)
             rows = np.nonzero(keep)[0]  # the block row of each kept point, ascending
+            present, starts = np.unique(rows, return_index=True)
             ws, qd = x[keep] @ V.T, qd[keep]
             log_pq = np.log(math.pi**2 * qd)
             part = np.zeros((len(block), dim), dtype=complex)
-            for m, monos in by_tpow.items():
+            for m, poly in gf.by_tpower.items():
                 rho = rhos[m]
                 factor = upper_gamma(rho, (math.pi**2 / A) * qd) * np.exp(-rho * log_pq)
-                for alpha, vec in monos:
-                    terms = np.prod(ws ** np.array(alpha), axis=1) * factor
-                    sums = np.bincount(rows, terms.real, len(block)) + 1j * np.bincount(rows, terms.imag, len(block))
-                    part += sums[:, None] * vec
+                terms = np.add.reduceat(poly.monomial_table(ws) * factor[:, None], starts, axis=0)
+                part[present] += terms @ poly.matrix
             parts.append(part)
         acc.add(np.concatenate(parts, axis=None))
     return acc.value.reshape(n, dim)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polylat.errors import ArityMismatch, NotPositiveDefinite
-from polylat.polygauss import VectorPolynomial, dual_form, gaussian_ft
+from polylat.polygauss import VectorPolynomial, dual_form, gaussian_ft, linear_form_products
 
 
 def quadrature_transform(P, m, t, h, p, pairing=None, n=240):
@@ -120,3 +120,63 @@ def test_gauss_poly_factor_eval_many_matches_single():
     many = gf.poly_eval_many(ws, 0.8)
     for i, w in enumerate(ws):
         assert abs(many[i, 0] - gf.poly_eval(w, 0.8)[0]) < 1e-14
+
+
+def _reference_values(P, pts):
+    """Per-monomial, per-point evaluation in Python complex arithmetic."""
+    out = np.zeros((len(pts), P.target_dim), dtype=complex)
+    for i, pt in enumerate(pts):
+        for alpha, vec in P.coeffs.items():
+            out[i] += vec * math.prod(complex(x) ** a for x, a in zip(pt, alpha))
+    return out
+
+
+def _random_polynomial(rng, rank, degrees, target_dim):
+    coeffs = {}
+    for deg in degrees:
+        for _ in range(int(rng.integers(1, 6))):
+            alpha = tuple(int(x) for x in rng.multinomial(deg, np.ones(rank) / rank))
+            coeffs[alpha] = rng.normal(size=target_dim) + 1j * rng.normal(size=target_dim)
+    return VectorPolynomial(rank, coeffs, target_dim=target_dim, homogeneous=len(set(degrees)) == 1)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_evaluator_matches_per_monomial_reference(rank):
+    rng = np.random.default_rng(100 + rank)
+    pts = rng.uniform(-1.5, 1.5, size=(7, rank))
+    pts[3] = 0.0  # 0^0 = 1
+    cases = [[deg] for deg in range(9)] + [[0, 3, 8], [1, 2, 5]]  # homogeneous, then mixed degrees
+    for degrees in cases:
+        for target_dim in (1, 3):
+            P = _random_polynomial(rng, rank, degrees, target_dim)
+            ref = _reference_values(P, pts)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(P.evaluate_many(pts) - ref)) <= 1e-13 * scale, (degrees, target_dim)
+            assert np.max(np.abs(P.evaluate(pts[0]) - ref[0])) <= 1e-13 * scale
+            assert P.evaluate_many(np.zeros((0, rank))).shape == (0, target_dim)
+            # complex coordinates are kept, not cast to float
+            z = pts[1] + 1j * pts[2]
+            zref = _reference_values(P, [z])[0]
+            assert np.max(np.abs(P.evaluate(z) - zref)) <= 1e-13 * max(1.0, float(np.max(np.abs(zref))))
+
+
+def test_evaluator_zero_polynomial():
+    P = VectorPolynomial(3, {(1, 0, 1): [0.0, 0.0]}, target_dim=2)
+    assert P.is_zero()
+    assert np.array_equal(P.evaluate_many(np.ones((4, 3))), np.zeros((4, 2)))
+    assert np.array_equal(P.evaluate([1.0, 2.0, 3.0]), np.zeros(2))
+
+
+def test_linear_form_products_match_direct_product():
+    rng = np.random.default_rng(7)
+    for arity, nforms in [(1, 2), (2, 3), (3, 2), (4, 6)]:
+        forms = rng.normal(size=(nforms, arity)) + 1j * rng.normal(size=(nforms, arity))
+        forms[0, 0] = 0.0  # a form missing one coordinate
+        powers = rng.integers(0, 4, size=(5, nforms))
+        powers[0] = 0  # the empty product is 1
+        exps, coeffs = linear_form_products(forms, powers)
+        assert len({tuple(alpha) for alpha in exps.tolist()}) == len(exps)
+        for x in rng.uniform(-1.2, 1.2, size=(4, arity)):
+            monos = np.prod(x[None, :] ** exps, axis=1)
+            direct = np.prod((forms @ x)[None, :] ** powers, axis=1)
+            assert np.max(np.abs(monos @ coeffs - direct)) <= 1e-12 * max(1.0, float(np.max(np.abs(direct))))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import itertools
 import math
 import random
 
@@ -292,3 +293,29 @@ def test_scan_is_one_batch(tau_i_frame, monkeypatch):
     for row in rows:
         single = kzeta_accelerated(tau_i_frame, P, row["u"], 2.0, tol=1e-12).value
         assert np.max(np.abs(row["value"] - single)) <= 1e-13 * max(np.max(np.abs(single)), 1.0)
+
+
+def test_paired_sum_odd_polynomial_off_lattice(tau_i_frame):
+    """P(-y) = -P(y) for odd P: the paired half-lattice sum against a full-lattice brute force."""
+    frame = tau_i_frame
+    P = VectorPolynomial(
+        2, {(3, 0): [1.0, 0.5j], (1, 2): [-0.7 + 0.2j, 2.0], (0, 3): [0.3, -1.1]}, target_dim=2
+    )
+    us = [(0.31, 0.47), (Fraction(1, 3), Fraction(1, 4))]
+    R = 40.0
+
+    def weight(q):
+        return np.exp(-(2.5 + 0.5j) * np.log(q))
+
+    got = zeta._paired_sum(frame, P, us, R, weight)
+    reach = math.ceil(math.sqrt(R / float(np.linalg.eigvalsh(frame.gram)[0])))
+    box = np.array(list(itertools.product(range(-reach, reach + 1), repeat=2)))
+    q = frame.q_values(box)
+    ms = box[(q > 0) & (q <= R)]
+    y, w = frame.points(ms), weight(frame.q_values(ms))
+    for k, u in enumerate(us):
+        chi = frame.char_values(ms, frame.reduce_point(u))
+        ref = sum(c * wt * P.evaluate(pt) for c, wt, pt in zip(chi, w, y))
+        assert np.max(np.abs(got[k] - ref)) <= 1e-12 * float(np.max(np.abs(ref)))
+    # trivial characters: the +-l pairs cancel exactly
+    assert not np.any(zeta._paired_sum(frame, P, [(0.0, 0.0)], R, weight))
