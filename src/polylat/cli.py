@@ -177,7 +177,7 @@ def cmd_theta_eval(args):
     frame = cfg.frame(side=args.side)
     P = parse_poly(args.p, frame.rank)
     u = parse_vector(args.u, frame.rank) if args.u else [0.0] * frame.rank
-    res = theta_eval(frame, P, u, args.t, tol=cfg.tol(args.tol), mode=args.mode, threads=args.threads)
+    res = theta_eval(frame, P, u, args.t, tol=cfg.tol(args.tol), mode=args.mode)
     emit(_theta_record(res, "theta eval", {"p": poly_spec(P), "t": args.t, "u": u, "mode": args.mode}))
     return 0
 
@@ -194,8 +194,8 @@ def cmd_theta_check(args):
     u = parse_vector(args.u, frame.rank) if args.u else [0.0] * frame.rank
     # truncation certificates must sit well below the comparison threshold
     tol = min(cfg.tol(args.tol), args.threshold / 100.0)
-    a = theta_direct(frame, P, u, args.t, tol=tol, threads=args.threads)
-    b = theta_transformed(frame, P, u, args.t, tol=tol, threads=args.threads)
+    a = theta_direct(frame, P, u, args.t, tol=tol)
+    b = theta_transformed(frame, P, u, args.t, tol=tol)
     denom = max(float(np.max(np.abs(a.value))), 1e-30)
     rel = float(np.max(np.abs(a.value - b.value))) / denom
     record = {
@@ -484,7 +484,7 @@ S_HELP = "re,im; write a negative real part as --s=-1,0"
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="polylat", description=__doc__)
-    parser.add_argument("--threads", type=at_least(1), default=None, help="worker threads (default: POLYLAT_THREADS or 1)")
+    parser.add_argument("--threads", type=at_least(1), default=None, help="ignored: every command runs in one thread")
     sub = parser.add_subparsers(dest="group", required=True)
 
     def add(group_parser, name, fn, config=True):

@@ -21,13 +21,17 @@ import math
 
 import numpy as np
 
-from .errors import OutOfRange, QuadratureUnstable, ZeroSectionSingularity
+from .errors import BudgetExceeded, OutOfRange, QuadratureUnstable, ZeroSectionSingularity
 from .lattice import SumLattice, dual_lattice
 from .polarized import CONVENTION_NOTE
 from .polygauss import VectorPolynomial, linear_form_products
 from .symalg import SymElem, c_n_contraction
 from .torus import double_contraction_forms
 from .zeta import kzeta_accelerated
+
+# monomials x components that the polynomial of one grade may have: d = 2
+# grade 12 has 7.8e5 and peaks near 350 MB, and the count grows as n^6 there
+GRADE_ENTRIES_BUDGET = 10**6
 
 
 def coefficient(a, b, k, d, kappa):
@@ -183,6 +187,15 @@ def _current(data, u, n, weights, tol):
     error bound is that one call's bound on the whole vector.
     """
     frame = _dual_frame(data, u)
+    # the polynomial's size from (d, n, rank) alone: every monomial of degree
+    # n, and one component per word of each a and exterior monomial of degree 2d - 2
+    d, rank = data.d, data.rank
+    words_count = sum(math.comb(d + n - a - 2, n - a - 1) * math.comb(d + a - 2, a - 1) for a in weights)
+    entries = math.comb(n + rank - 1, rank - 1) * words_count * math.comb(rank, 2)
+    if entries > GRADE_ENTRIES_BUDGET:
+        raise BudgetExceeded(
+            f"grade {n}: {entries:.3g} monomials x components exceed {GRADE_ENTRIES_BUDGET:.3g}"
+        )
     exts, betas, quads = _contraction_quadratics(data)
     # a word times a quadratic monomial lambda^beta is one product of
     # linear forms: the word's Hodge coordinate rows, then beta's unit rows

@@ -1,15 +1,21 @@
-"""Shared summation machinery: the certified shell-summation driver,
-compensated accumulation and tail bounds."""
+"""Shared summation machinery: compensated accumulation, the ellipsoid
+sums with their closed-form tails, and the box-shell driver.
 
-from concurrent.futures import ThreadPoolExecutor
+The Fincke-Pohst ellipsoid sums `_paired_sum` and `_dual_sum` serve zeta,
+the currents and `theta.poisson_check`; `_tail` and `power_tail` bound
+what a radius leaves out.  The sup-norm box shells of `certified_sum` and
+`gaussian_tail` serve only `theta_direct` and `theta_transformed`.
+"""
+
 import math
-import os
 
 import numpy as np
 
 from .errors import BudgetExceeded
 from .incgamma import upper_gamma_bound
-from .lattice import cell_radius, ellipsoid_radius, shell_point_count
+from .lattice import SNAP_TOL, cell_radius, ellipsoid_chunks, ellipsoid_radius, shell_point_count
+
+_CHUNK = 1 << 16  # points per enumerated chunk, and entries per (points u) x (lattice points) array
 
 
 class CompensatedSum:
@@ -37,43 +43,25 @@ class CompensatedSum:
         return (self._parts[0] + self._parts[1]) + 1j * (self._parts[2] + self._parts[3])
 
 
-def thread_count(requested=None):
-    if requested is not None and requested >= 1:
-        return int(requested)
-    env = os.environ.get("POLYLAT_THREADS", "")
-    if env.isdigit() and int(env) >= 1:
-        return int(env)
-    return 1
+def map_shells(fn, ks):
+    """Apply fn to each shell index, in shell order."""
+    return [fn(k) for k in ks]
 
 
-def map_shells(fn, ks, threads=1):
-    """Apply fn to each shell index, preserving shell order in the output."""
-    if threads <= 1:
-        return [fn(k) for k in ks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, ks))
-
-
-def certified_sum(partial, tail, tol, dim, *, what, shell_cap, threads=None):
+def certified_sum(partial, tail, tol, dim, *, what, shell_cap):
     """Sum shells k = 0, 1, ... until a tail bound certifies tol.
 
     partial(k) is the summed contribution of sup-norm shell k (a vector of
     length dim) and tail(k) a rigorous bound on everything beyond shell k.
-    Shells are dispatched in batches of the thread count and accumulated
-    in fixed shell order.  Returns (value, tail, shells_used), shells_used
-    being the first shell index not summed.
+    Shells are accumulated in shell order.  Returns (value, tail,
+    shells_used), shells_used being the first shell index not summed.
     """
-    nthreads = thread_count(threads)
     acc = CompensatedSum(dim)
-    k = 0
-    while k <= shell_cap:
-        batch = list(range(k, min(k + nthreads, shell_cap + 1)))
-        for part in map_shells(partial, batch, nthreads):
-            acc.add(part)
-        k = batch[-1] + 1
-        bound = tail(k - 1)
+    for k in range(shell_cap + 1):
+        acc.add(map_shells(partial, [k])[0])
+        bound = tail(k)
         if bound <= tol:
-            return acc.value, float(bound), k
+            return acc.value, float(bound), k + 1
     raise BudgetExceeded(f"{what}: no certified tail <= {tol} within {shell_cap} shells")
 
 
@@ -184,3 +172,125 @@ def solve_radius(tail, tol, gram, points, what):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if tail(math.exp(mid)) <= tol else (mid, hi)
     return math.exp(hi)
+
+
+def _tail(gram, q_mat, monomials, s_re, decay=0.0, r_min=0.0):
+    """R -> the closed-form bound on sum over Q(m) > R of f(m), Q(x) = x^T gram x.
+
+    f(m) = sum over (alpha, vec, scale) in monomials of scale |vec| |y^alpha|
+    Q(m)^{-s_re} e^{-decay Q(m)}, y being the ambient point with
+    y^T q_mat y = Q(m); the bound is infinite below r_min.
+    """
+    # |y|^2 <= Q / lambda_min(q_mat), so |y^alpha| <= (Q / lambda_min)^{|alpha|/2}
+    grow = 1.0 / math.sqrt(float(np.linalg.eigvalsh(q_mat)[0]))
+    amps = [0.0] * (1 + max((sum(alpha) for alpha, _vec, _scale in monomials), default=0))
+    for alpha, vec, scale in monomials:
+        amps[sum(alpha)] += scale * float(np.max(np.abs(vec))) * grow ** sum(alpha)
+    sqrt_det, D = math.sqrt(np.linalg.det(gram)), cell_radius(gram)
+    return lambda R: math.inf if R < r_min else power_tail(
+        R, rank=len(gram), sqrt_det=sqrt_det, cell_radius=D, s_re=s_re, amps=amps, decay=decay
+    )
+
+
+def _paired_sum(frame, P, us, R, weight):
+    """Row k: sum over 0 < Q(l) <= R of chi_l(u_k) P(l) weight(Q(l)), one
+    ellipsoid enumeration for every point u_k of the batch.
+
+    Each pair l, -l is summed once: chi(-l) = conj chi(l), Q(-l) = Q(l)
+    and P is evaluated at -l.  The weights and P(+-y) are computed once per
+    chunk; the characters per block of points u, chunk x block at most _CHUNK.
+    """
+    chars = [(frame.reduce_point(u), frame.phase_data(u)) for u in us]
+    trivial = not any(np.any(h) for h, _phase in chars)  # every character is 1
+    constant = P.degree == 0
+    # P(-y) from the table at y: each monomial's sign is (-1)^|alpha|
+    minus = P.matrix * (-1.0) ** P.exponents.sum(axis=1)[:, None]
+    acc = CompensatedSum(len(us) * (1 if constant else P.target_dim))
+    chunk = max(1, _CHUNK // max(1, len(P.matrix)))  # a monomial table has at most _CHUNK entries
+    for ms, q in ellipsoid_chunks(frame.gram, R, half=True, coords=not (trivial and constant), chunk=chunk):
+        w = weight(q)
+        if not constant:
+            table = P.monomial_table(frame.points(ms))
+        if trivial:
+            acc.add(np.tile(w.sum() if constant else (w @ table) @ (P.matrix + minus), len(us)))
+            continue
+        parts = []
+        for block in _blocks(chars, len(q)):
+            chi = _characters(frame, ms, block)
+            if constant:
+                parts.append(w @ chi.real)
+            else:
+                plus_part = ((w[:, None] * chi).T @ table) @ P.matrix
+                parts.append(plus_part + ((w[:, None] * np.conj(chi)).T @ table) @ minus)
+        acc.add(np.concatenate(parts, axis=None))
+    if constant:
+        return 2.0 * acc.value[:, None] * P.value_at_zero()
+    return acc.value.reshape(len(us), P.target_dim)
+
+
+def _blocks(items, per_item):
+    """items in consecutive blocks of at most max(1, _CHUNK // per_item)."""
+    step = max(1, _CHUNK // max(per_item, 1))
+    return [items[k:k + step] for k in range(0, len(items), step)]
+
+
+def _characters(frame, ms, block):
+    """chi_l(u) for the rows l of ms, one column per (h, phase_data) of block.
+
+    Fraction points keep their exact roots of unity; the others share one
+    product with the character matrix.
+    """
+    if all(phase is None for _h, phase in block):
+        return frame.char_values(ms, np.array([h for h, _phase in block]).T)
+    return np.column_stack(
+        [frame.char_values(ms, h) if phase is None else frame.char_values_exact(ms, *phase) for h, phase in block]
+    )
+
+
+def _dual_sum(gram, V, gf, hs, R, radial, *, budget, what):
+    """Row k: sum over 0 < Qdual(w) <= R of sum over m of radial(m, Qdual(w))
+    gf.by_tpower[m](w), at the points w = V m + h_k (V the dual basis).
+
+    radial(m, qd) is the radial factor of the power t^-m at an array qd.
+    The points are the m with Q(m - c_k) <= R for Q(x) = x^T gram x and
+    c_k = -V^{-1} h_k.  The candidates m are enumerated once, about the
+    origin within R_c >= (sqrt(R) + max_k sqrt(Q(c_k)))^2, once that
+    ellipsoid is known to hold at most `budget` points; each block of
+    centers keeps its own, and block x candidates x monomials is at most
+    _CHUNK.  The w = 0 term is left out (see _zero_term).
+    """
+    centers = -np.linalg.solve(V, np.asarray(hs).T).T
+    R_c = (math.sqrt(R) + math.sqrt(np.einsum("ij,jk,ik->i", centers, gram, centers).max())) ** 2
+    if R_c > R and R_c > ellipsoid_radius(gram, budget):
+        raise BudgetExceeded(f"{what}: candidates within {R_c:.6g} of the origin exceed {budget:.3g} points")
+    n, dim = len(centers), gf.target_dim
+    per_point = max((len(part.matrix) for part in gf.by_tpower.values()), default=1)
+    acc = CompensatedSum(n * dim)
+    for ms, _q in ellipsoid_chunks(gram, R_c, chunk=max(1, _CHUNK // per_point)):
+        parts = []
+        for block in _blocks(centers, len(ms) * per_point):
+            x = ms[None, :, :] - block[:, None, :]  # m - c, block x candidates x rank
+            qd = np.einsum("bij,jk,bik->bi", x, gram, x)
+            keep = (qd > SNAP_TOL) & (qd <= R)
+            rows = np.nonzero(keep)[0]  # the block row of each kept point, ascending
+            present, starts = np.unique(rows, return_index=True)
+            ws, qd = x[keep] @ V.T, qd[keep]
+            part = np.zeros((len(block), dim), dtype=complex)
+            for m, poly in gf.by_tpower.items():
+                terms = np.add.reduceat(poly.monomial_table(ws) * radial(m, qd)[:, None], starts, axis=0)
+                part[present] += terms @ poly.matrix
+            parts.append(part)
+        acc.add(np.concatenate(parts, axis=None))
+    return acc.value.reshape(n, dim)
+
+
+def _zero_term(gf, radial0):
+    """The w = 0 term that _dual_sum leaves out, for h on the lattice: each
+    power t^-m gives its constant monomial times radial0(m), the radial
+    factor at Qdual = 0 (asked for only where that constant is not 0)."""
+    total = np.zeros(gf.target_dim, dtype=complex)
+    for m, poly in gf.by_tpower.items():
+        c0 = poly.value_at_zero()
+        if np.any(c0 != 0):
+            total = total + c0 * radial0(m)
+    return total

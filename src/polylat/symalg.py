@@ -306,6 +306,18 @@ def _embed(word, level, correct):
     return SymElem(-1, level, {full: coef})  # dim unused for words over symbols
 
 
+def _ladder_failures(h_dim, n, correct):
+    """The (k, word) of the grade-k basis words where the ladder square
+    c_{n+1}(eps) o theta_{n+1} = theta_n o p_{n+1,n} fails, in basis order
+    (psi in place of theta unless correct)."""
+    for k, word in _graded_basis(h_dim, n + 1):
+        lifted = _embed(word, n + 1, correct)
+        lhs = c_n_contraction(_epsilon, SymElem(h_dim + 1, n + 1, lifted.coeffs))
+        rhs = _embed(word, n, correct).coeffs if k <= n else {}
+        if lhs != SymElem(h_dim + 1, n, rhs):
+            yield k, word
+
+
 def theta_ladder_check(h_dim, n, negative_control=True):
     """Verify c_{n+1}(eps) o theta_{n+1} = theta_n o p_{n+1,n} on a full basis.
 
@@ -317,22 +329,8 @@ def theta_ladder_check(h_dim, n, negative_control=True):
         raise ValueError("need h_dim >= 1, n >= 0")
     if (h_dim + 1) ** (n + 1) > DIM_CAP * 50:
         raise DimensionOverflow("ladder dimensions above cap")
-
-    def check(correct):
-        for k, word in _graded_basis(h_dim, n + 1):
-            lifted = _embed(word, n + 1, correct)
-            lhs = c_n_contraction(_epsilon, SymElem(h_dim + 1, n + 1, lifted.coeffs))
-            if k <= n:
-                rhs_elem = _embed(word, n, correct)
-                rhs = SymElem(h_dim + 1, n, rhs_elem.coeffs)
-            else:
-                rhs = SymElem(h_dim + 1, n, {})
-            if not (lhs == rhs):
-                return False
-        return True
-
-    theta_ok = check(correct=True)
-    psi_ok = check(correct=False)
+    theta_ok = next(_ladder_failures(h_dim, n, True), None) is None
+    psi_ok = next(_ladder_failures(h_dim, n, False), None) is None
     if negative_control and n >= 1 and psi_ok:
         raise AssertionError("uncorrected psi ladder unexpectedly commutes")
     return psi_ok, theta_ok
@@ -340,15 +338,8 @@ def theta_ladder_check(h_dim, n, negative_control=True):
 
 def ladder_counterexample(h_dim, n, correct):
     """First basis element where the (corrected or not) ladder square fails."""
-    for k, word in _graded_basis(h_dim, n + 1):
-        lifted = _embed(word, n + 1, correct)
-        lhs = c_n_contraction(_epsilon, SymElem(h_dim + 1, n + 1, lifted.coeffs))
-        if k <= n:
-            rhs = SymElem(h_dim + 1, n, _embed(word, n, correct).coeffs)
-        else:
-            rhs = SymElem(h_dim + 1, n, {})
-        if not (lhs == rhs):
-            return {"grade": k, "word": list(word)}
+    for k, word in _ladder_failures(h_dim, n, correct):
+        return {"grade": k, "word": list(word)}
     return None
 
 
@@ -356,8 +347,8 @@ def splitting_grading_check(h_dim, n_max):
     """The theta-ladder exhibits x* Log = prod Sym^k H, gradedly.
 
     Checks that theta_n^{-1} o c_{n+1}(eps) o theta_{n+1} is exactly the
-    projection dropping grade n+1 for every n < n_max, and that the graded
-    dimensions match dim Sym^k H.
+    projection dropping grade n+1 (the corrected ladder square) for every
+    n < n_max, and that the graded dimensions match dim Sym^k H.
     """
     if h_dim < 1 or n_max < 0:
         raise ValueError("need h_dim >= 1, n_max >= 0")
@@ -366,19 +357,4 @@ def splitting_grading_check(h_dim, n_max):
         == math.comb(k + h_dim - 1, h_dim - 1)
         for k in range(n_max + 1)
     )
-    for n in range(n_max):
-        for k, word in _graded_basis(h_dim, n + 1):
-            lifted = _embed(word, n + 1, correct=True)
-            contracted = c_n_contraction(_epsilon, SymElem(h_dim + 1, n + 1, lifted.coeffs))
-            # invert theta_n on its image: coefficient must sit on the
-            # embedded word with exactly the alpha scale
-            if k <= n:
-                expect = (0,) * (n - k) + word
-                coeffs = dict(contracted.coeffs)
-                got = coeffs.pop(expect, Fraction(0))
-                if coeffs or got != alpha_scale(n, k):
-                    return False
-            else:
-                if not contracted.is_zero():
-                    return False
-    return dims_ok
+    return dims_ok and all(next(_ladder_failures(h_dim, n, True), None) is None for n in range(n_max))

@@ -13,11 +13,12 @@ import math
 import numpy as np
 
 from .errors import BudgetExceeded
-from .lattice import SumLattice, box_shell, enumerate_shell
+from .lattice import SumLattice, box_shell, ellipsoid_radius
 from .polygauss import VectorPolynomial, gaussian_ft
-from .sums import CompensatedSum, certified_sum, gaussian_tail
+from .sums import _dual_sum, _paired_sum, _tail, _zero_term, certified_sum, gaussian_tail
 
 DEFAULT_SHELL_CAP = 220
+POISSON_POINT_BUDGET = 1e7  # points that either side of poisson_check may visit
 
 
 @dataclass(frozen=True)
@@ -45,21 +46,14 @@ class ThetaResult:
         return complex(self.value[0])
 
 
-def _direct_tail(frame, P, t):
-    """Gaussian tail bound beyond shell k of the direct theta sum."""
-    coeff = P.coeff_l1()
-    growth = frame.basis_norm * math.sqrt(frame.rank)
-    return lambda k: gaussian_tail(
-        k, rank=frame.rank, sigma=frame.sigma_min, decay=t, coeff=coeff, deg=P.degree, growth=growth
-    )
-
-
 def theta_direct(frame, P, u, t, tol=1e-12, shell_cap=DEFAULT_SHELL_CAP, threads=None):
     """Shell-by-shell direct summation with a rigorous Gaussian tail bound."""
+    # threads is unused: it stays because bench/workloads.py passes threads=1
     if t <= 0 or tol <= 0:
         raise ValueError("t and tol must be positive")
     h = frame.reduce_point(u)
     phase = frame.phase_data(u)
+    coeff, growth = P.coeff_l1(), frame.basis_norm * math.sqrt(frame.rank)
 
     def partial(k):
         ms = box_shell(frame.rank, k)
@@ -72,20 +66,26 @@ def theta_direct(frame, P, u, t, tol=1e-12, shell_cap=DEFAULT_SHELL_CAP, threads
         weights = chi * np.exp(-t * frame.q_values(ms))
         return (P.evaluate_many(pts) * weights[:, None]).sum(axis=0)
 
-    value, bound, shells = certified_sum(
-        partial, _direct_tail(frame, P, t), tol, P.target_dim,
-        what="direct theta", shell_cap=shell_cap, threads=threads,
-    )
+    def tail(k):
+        return gaussian_tail(
+            k, rank=frame.rank, sigma=frame.sigma_min, decay=t, coeff=coeff, deg=P.degree, growth=growth
+        )
+
+    value, bound, shells = certified_sum(partial, tail, tol, P.target_dim, what="direct theta", shell_cap=shell_cap)
     return ThetaResult(value=value, tail_bound=bound, shells_used=shells, mode="direct")
 
 
-def _transformed_side(frame, P, h, t):
-    """Poisson-transformed side at reduced shift h.
+def theta_transformed(frame, P, u, t, tol=1e-12, shell_cap=DEFAULT_SHELL_CAP, threads=None):
+    """Evaluate the Poisson-transformed side of the theta sum.
 
-    Returns (prefactor, dual frame, gf, partial, tail): partial(k) sums
-    the transform over dual shell k without the prefactor, tail(k) bounds
-    the prefactor-scaled remainder beyond shell k.
+    The transform is summed over the dual shells at the reduced shift h,
+    without the prefactor; the tail bounds the prefactor-scaled remainder
+    beyond each shell.
     """
+    # threads is unused: it stays because bench/workloads.py passes threads=1
+    if t <= 0 or tol <= 0:
+        raise ValueError("t and tol must be positive")
+    h = frame.reduce_point(u)
     gf = gaussian_ft(P, frame.q_mat, h=h, pairing=frame.pairing, vol_scale=frame.vol_scale)
     dual = frame.dual_frame()
     prefactor = gf.disc_factor * t**gf.prefactor_exponent
@@ -119,66 +119,57 @@ def _transformed_side(frame, P, h, t):
             amp_shift=h_norm,
         )
 
-    return prefactor, dual, gf, partial, tail
-
-
-def theta_transformed(frame, P, u, t, tol=1e-12, shell_cap=DEFAULT_SHELL_CAP, threads=None):
-    """Evaluate the Poisson-transformed side of the theta sum."""
-    if t <= 0 or tol <= 0:
-        raise ValueError("t and tol must be positive")
-    prefactor, _dual, _gf, partial, tail = _transformed_side(frame, P, frame.reduce_point(u), t)
     value, bound, shells = certified_sum(
-        partial, tail, tol, P.target_dim,
-        what="transformed theta", shell_cap=shell_cap, threads=threads,
+        partial, tail, tol, P.target_dim, what="transformed theta", shell_cap=shell_cap
     )
     return ThetaResult(value=prefactor * value, tail_bound=bound, shells_used=shells, mode="transformed")
 
 
-def theta_eval(frame, P, u, t, tol=1e-12, mode="auto", threads=None):
+def theta_eval(frame, P, u, t, tol=1e-12, mode="auto"):
     """Crossover heuristic: direct for t >= 1, transformed below."""
     if mode == "auto":
         mode = "direct" if t >= 1.0 else "transformed"
     if mode == "direct":
-        return theta_direct(frame, P, u, t, tol=tol, threads=threads)
+        return theta_direct(frame, P, u, t, tol=tol)
     if mode == "transformed":
-        return theta_transformed(frame, P, u, t, tol=tol, threads=threads)
+        return theta_transformed(frame, P, u, t, tol=tol)
     raise ValueError("mode must be auto, direct or transformed")
 
 
 def poisson_check(data, P, t, h, r_direct, r_dual, tail_req=1e-12):
     """|LHS - RHS| of the Poisson identity for the Gaussian x polynomial test function.
 
-    LHS sums f(l') = exp(<l',h>) e^{-tQ(l')} P(l') over the dual-lattice ball
-    Q <= r_direct; RHS sums the closed-form transform over the base-lattice
-    ball.  Both truncation tails must certify below tail_req.
+    LHS sums f(l') = exp(<l',h>) e^{-tQ(l')} P(l') over the dual-lattice
+    ellipsoid Q <= r_direct (the paired sum, plus P(0)); RHS sums the
+    closed-form transform over the w = m + h with Qdual(w) <= r_dual (the
+    dual sum about -h, plus the w = 0 term when h is on the lattice).
+    Both power_tail bounds must certify below tail_req and both ellipsoids
+    hold at most POISSON_POINT_BUDGET points, else BudgetExceeded.
     """
     frame = SumLattice.from_abelian(data, side="dual")
     if P.is_zero():
         return 0.0
     h = frame.reduce_point(h)
-    # direct side
-    ms = enumerate_shell(frame, r_direct)
-    pts = frame.points(ms)
-    weights = frame.char_values(ms, h) * np.exp(-t * frame.q_values(ms))
-    lhs = (P.evaluate_many(pts) * weights[:, None]).sum(axis=0) + P.value_at_zero()
-    k_direct = int(math.floor(math.sqrt(r_direct / (frame.sigma_max * frame.rank))))
-    tail_direct = _direct_tail(frame, P, t)(k_direct)
-    # transformed side, summed out to the fixed dual radius r_dual
-    prefactor, dual, gf, partial, tail = _transformed_side(frame, P, h, t)
-    gram_min = float(np.linalg.eigvalsh(dual.basis.T @ gf.dual_form @ dual.basis)[0])
-    k_dual = 0
-    rhs_acc = CompensatedSum(P.target_dim)
-    while True:
-        rhs_acc.add(partial(k_dual))
-        if k_dual * k_dual * gram_min > r_dual:
-            break
-        k_dual += 1
-        if k_dual > DEFAULT_SHELL_CAP:
-            raise BudgetExceeded("poisson_check: dual radius too large")
-    tail_dual = tail(k_dual)
+    gf = gaussian_ft(P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
+    V = frame.dual_basis
+    gram_d = V.T @ gf.dual_form @ V
+    prefactor = gf.disc_factor * t**gf.prefactor_exponent
+    direct = [(alpha, vec, 1.0) for alpha, vec in P.coeffs.items()]
+    tail_direct = _tail(frame.gram, frame.q_mat, direct, 0.0, decay=t)(r_direct)
+    dual = [(alpha, vec, t**-m) for m, monos in gf.monomials_by_tpower().items() for alpha, vec in monos]
+    tail_dual = prefactor * _tail(gram_d, gf.dual_form, dual, 0.0, decay=math.pi**2 / t)(r_dual)
     if tail_direct > tail_req or tail_dual > tail_req:
         raise BudgetExceeded(
             f"poisson_check: tails {tail_direct:.2e}/{tail_dual:.2e} above {tail_req}"
         )
-    rhs = prefactor * rhs_acc.value
-    return float(np.max(np.abs(lhs - rhs)))
+    for side, gram, R in (("direct", frame.gram, r_direct), ("dual", gram_d, r_dual)):
+        if R > ellipsoid_radius(gram, POISSON_POINT_BUDGET):
+            raise BudgetExceeded(f"poisson_check: the {side} radius {R:.6g} exceeds {POISSON_POINT_BUDGET:.3g} points")
+    lhs = _paired_sum(frame, P, [h], r_direct, lambda q: np.exp(-t * q))[0] + P.value_at_zero()
+    rhs = _dual_sum(
+        gram_d, V, gf, [h], r_dual, lambda m, qd: t**-m * np.exp(-(math.pi**2 / t) * qd),
+        budget=POISSON_POINT_BUDGET, what="poisson_check (dual side)",
+    )[0]
+    if frame.in_base_lattice(h):
+        rhs = rhs + _zero_term(gf, lambda m: t**-m)
+    return float(np.max(np.abs(lhs - prefactor * rhs)))

@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     GammaOverflow,
     GridTouchesZeroSection,
     NotAbsolutelyConvergent,
@@ -26,16 +25,15 @@ from .errors import (
     ZeroSectionSingularity,
 )
 from .incgamma import rgamma, upper_gamma
-from .lattice import SNAP_TOL, cell_radius, ellipsoid_chunks, ellipsoid_radius
+from .lattice import ellipsoid_radius
 from .polygauss import gaussian_ft
-from .sums import CompensatedSum, power_tail, solve_radius
+from .sums import _dual_sum, _paired_sum, _tail, _zero_term, solve_radius
 
 POINT_BUDGET = 2e9  # points a direct sum may visit; the rank-2 s = 2 regime check needs ~1.2e9
 # points an accelerated piece may visit: each is one entry of an array upper_gamma per
 # gamma order (~0.3 us in a large batch); rank 6 at tol 1e-13 needs ~3.4e5
 GAMMA_POINT_BUDGET = 1e7
 AUTO_DIRECT_POINTS = 129**2  # auto mode sums directly only up to this many points
-_CHUNK = 1 << 16  # points per enumerated chunk, and entries per (points u) x (lattice points) array
 _POLE_TOL = 1e-12
 
 
@@ -55,82 +53,9 @@ def converges_directly(P, s, rank):
     return 2.0 * complex(s).real - P.degree > rank
 
 
-def _tail(gram, q_mat, monomials, s_re, decay=0.0, r_min=0.0):
-    """R -> the closed-form bound on sum over Q(m) > R of f(m), Q(x) = x^T gram x.
-
-    f(m) = sum over (alpha, vec, scale) in monomials of scale |vec| |y^alpha|
-    Q(m)^{-s_re} e^{-decay Q(m)}, y being the ambient point with
-    y^T q_mat y = Q(m); the bound is infinite below r_min.
-    """
-    # |y|^2 <= Q / lambda_min(q_mat), so |y^alpha| <= (Q / lambda_min)^{|alpha|/2}
-    grow = 1.0 / math.sqrt(float(np.linalg.eigvalsh(q_mat)[0]))
-    amps = [0.0] * (1 + max((sum(alpha) for alpha, _vec, _scale in monomials), default=0))
-    for alpha, vec, scale in monomials:
-        amps[sum(alpha)] += scale * float(np.max(np.abs(vec))) * grow ** sum(alpha)
-    sqrt_det, D = math.sqrt(np.linalg.det(gram)), cell_radius(gram)
-    return lambda R: math.inf if R < r_min else power_tail(
-        R, rank=len(gram), sqrt_det=sqrt_det, cell_radius=D, s_re=s_re, amps=amps, decay=decay
-    )
-
-
 def _direct_tail(frame, P, s_re):
     """R -> the closed-form bound on sum over Q(l) > R of |P(l)| Q(l)^{-s_re}."""
     return _tail(frame.gram, frame.q_mat, [(alpha, vec, 1.0) for alpha, vec in P.coeffs.items()], s_re)
-
-
-def _paired_sum(frame, P, us, R, weight):
-    """Row k: sum over 0 < Q(l) <= R of chi_l(u_k) P(l) weight(Q(l)), one
-    ellipsoid enumeration for every point u_k of the batch.
-
-    Each pair l, -l is summed once: chi(-l) = conj chi(l), Q(-l) = Q(l)
-    and P is evaluated at -l.  The weights and P(+-y) are computed once per
-    chunk; the characters per block of points u, chunk x block at most _CHUNK.
-    """
-    chars = [(frame.reduce_point(u), frame.phase_data(u)) for u in us]
-    trivial = not any(np.any(h) for h, _phase in chars)  # every character is 1
-    constant = P.degree == 0
-    # P(-y) from the table at y: each monomial's sign is (-1)^|alpha|
-    minus = P.matrix * (-1.0) ** P.exponents.sum(axis=1)[:, None]
-    acc = CompensatedSum(len(us) * (1 if constant else P.target_dim))
-    chunk = max(1, _CHUNK // max(1, len(P.matrix)))  # a monomial table has at most _CHUNK entries
-    for ms, q in ellipsoid_chunks(frame.gram, R, half=True, coords=not (trivial and constant), chunk=chunk):
-        w = weight(q)
-        if not constant:
-            table = P.monomial_table(frame.points(ms))
-        if trivial:
-            acc.add(np.tile(w.sum() if constant else (w @ table) @ (P.matrix + minus), len(us)))
-            continue
-        parts = []
-        for block in _blocks(chars, len(q)):
-            chi = _characters(frame, ms, block)
-            if constant:
-                parts.append(w @ chi.real)
-            else:
-                plus_part = ((w[:, None] * chi).T @ table) @ P.matrix
-                parts.append(plus_part + ((w[:, None] * np.conj(chi)).T @ table) @ minus)
-        acc.add(np.concatenate(parts, axis=None))
-    if constant:
-        return 2.0 * acc.value[:, None] * P.value_at_zero()
-    return acc.value.reshape(len(us), P.target_dim)
-
-
-def _blocks(items, per_item):
-    """items in consecutive blocks of at most max(1, _CHUNK // per_item)."""
-    step = max(1, _CHUNK // max(per_item, 1))
-    return [items[k:k + step] for k in range(0, len(items), step)]
-
-
-def _characters(frame, ms, block):
-    """chi_l(u) for the rows l of ms, one column per (h, phase_data) of block.
-
-    Fraction points keep their exact roots of unity; the others share one
-    product with the character matrix.
-    """
-    if all(phase is None for _h, phase in block):
-        return frame.char_values(ms, np.array([h for h, _phase in block]).T)
-    return np.column_stack(
-        [frame.char_values(ms, h) if phase is None else frame.char_values_exact(ms, *phase) for h, phase in block]
-    )
 
 
 def kzeta_direct(frame, P, u, s, tol=1e-10):
@@ -220,41 +145,36 @@ def _gamma_k(frame, P, us, s, A, piece_tol):
     by_tpow = gf.monomials_by_tpower()
     rhos = {m: half + m - s for m in by_tpow}
 
-    # dual-side zero term, for u in the base lattice: only the
-    # constant-in-w monomials contribute at w=0
+    def mellin_at_zero(m):  # the radial factor at Qdual = 0: int_0^A t^(s - r/2 - m - 1) dt
+        denom = s - half - m
+        if abs(denom) < _POLE_TOL:
+            raise ZeroSectionSingularity(f"dual-side constant term diverges at s = {half + m}")
+        return A**denom / denom
+
+    # dual-side zero term, for u in the base lattice
     on_lattice = np.array([frame.in_base_lattice(u) for u in us])
-    zero_term = np.zeros(P.target_dim, dtype=complex)
-    if on_lattice.any():
-        for m, monos in by_tpow.items():
-            c0 = sum((vec for alpha, vec in monos if sum(alpha) == 0), np.zeros(P.target_dim, dtype=complex))
-            if np.any(c0 != 0):
-                denom = s - half - m
-                if abs(denom) < _POLE_TOL:
-                    raise ZeroSectionSingularity(
-                        f"dual-side constant term diverges at s = {half + m}"
-                    )
-                zero_term = zero_term + c0 * A**denom / denom
+    zero_term = _zero_term(gf, mellin_at_zero) if on_lattice.any() else 0.0
 
     V = frame.dual_basis
     gram_d = V.T @ gf.dual_form @ V
     tail_ii = _gamma_dual_tail(gram_d, gf, by_tpow, rhos, A)
-    # the dual radius, and the dual candidates' radius, meet the point
-    # budget before either piece is summed
     R_ii = solve_radius(tail_ii, piece_tol, gram_d, GAMMA_POINT_BUDGET, "accelerated zeta (dual piece)")
-    hs = np.array([frame.reduce_point(u) for u in us])
-    centers = -np.linalg.solve(V, hs.T).T
-    R_c = (math.sqrt(R_ii) + math.sqrt(np.einsum("ij,jk,ik->i", centers, gram_d, centers).max())) ** 2
-    if R_c > R_ii and R_c > ellipsoid_radius(gram_d, GAMMA_POINT_BUDGET):
-        raise BudgetExceeded(
-            f"accelerated zeta (dual piece): candidates within {R_c:.6g} of the origin"
-            f" exceed {GAMMA_POINT_BUDGET:.3g} points"
-        )
+
+    def mellin(m, qd):
+        # int_0^A t^(s - r/2 - m - 1) e^(-pi^2 qd / t) dt = Gamma(rho, pi^2 qd / A) / (pi^2 qd)^rho
+        rho = rhos[m]
+        return upper_gamma(rho, (math.pi**2 / A) * qd) * np.exp(-rho * np.log(math.pi**2 * qd))
 
     def gamma_weight(q):  # Gamma(s, A Q) / Q^s
         return upper_gamma(s, A * q) * np.exp(-s * np.log(q))
 
+    # the dual piece checks its candidates' budget before it enumerates,
+    # so it is summed first: both budgets fail before anything is summed
+    hs = np.array([frame.reduce_point(u) for u in us])
+    sum_ii = _dual_sum(
+        gram_d, V, gf, hs, R_ii, mellin, budget=GAMMA_POINT_BUDGET, what="accelerated zeta (dual piece)"
+    )
     sum_i = _paired_sum(frame, P, us, R_i, gamma_weight)
-    sum_ii = _dual_sum(gram_d, V, gf, rhos, centers, A, R_ii, R_c)
 
     total = sum_i + gf.disc_factor * (sum_ii + on_lattice[:, None] * zero_term)
     if np.any(p0 != 0):
@@ -295,41 +215,6 @@ def _gamma_dual_tail(gram, gf, by_tpow, rhos, A):
         gram, gf.dual_form, monomials, 1.0,
         decay=math.pi**2 / A, r_min=2.0 * (max_rho_re - 1.0) * A / math.pi**2,
     )
-
-
-def _dual_sum(gram, V, gf, rhos, centers, A, R, R_c):
-    """Row k: sum over 0 < Qdual(w) <= R of the term-by-term Mellin integrals
-    over (0, A], at the points w = V m + h_k (V the dual basis).
-
-    Those are the m with Q(m - c_k) <= R for Q(x) = x^T gram x and
-    c_k = -V^{-1} h_k.  The candidates m are enumerated once, about the
-    origin within R_c >= (sqrt(R) + max_k sqrt(Q(c_k)))^2, and each block
-    of centers keeps its own; block x candidates x monomials is at most
-    _CHUNK.  Per power t^-m, the incomplete gamma runs once over the whole
-    block and scales that power's monomial table, summed per point.
-    """
-    n, dim = len(centers), gf.target_dim
-    per_point = max((len(part.matrix) for part in gf.by_tpower.values()), default=1)
-    acc = CompensatedSum(n * dim)
-    for ms, _q in ellipsoid_chunks(gram, R_c, chunk=max(1, _CHUNK // per_point)):
-        parts = []
-        for block in _blocks(centers, len(ms) * per_point):
-            x = ms[None, :, :] - block[:, None, :]  # m - c, block x candidates x rank
-            qd = np.einsum("bij,jk,bik->bi", x, gram, x)
-            keep = (qd > SNAP_TOL) & (qd <= R)
-            rows = np.nonzero(keep)[0]  # the block row of each kept point, ascending
-            present, starts = np.unique(rows, return_index=True)
-            ws, qd = x[keep] @ V.T, qd[keep]
-            log_pq = np.log(math.pi**2 * qd)
-            part = np.zeros((len(block), dim), dtype=complex)
-            for m, poly in gf.by_tpower.items():
-                rho = rhos[m]
-                factor = upper_gamma(rho, (math.pi**2 / A) * qd) * np.exp(-rho * log_pq)
-                terms = np.add.reduceat(poly.monomial_table(ws) * factor[:, None], starts, axis=0)
-                part[present] += terms @ poly.matrix
-            parts.append(part)
-        acc.add(np.concatenate(parts, axis=None))
-    return acc.value.reshape(n, dim)
 
 
 def kzeta(frame, P, u, s, mode="auto", split_a=1.0, tol=1e-10):

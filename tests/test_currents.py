@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from pathlib import Path
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from polylat.currents import (
     pair_with_test_form,
     pairing_functional,
 )
-from polylat.errors import OutOfRange, QuadratureUnstable, ZeroSectionSingularity
+from polylat.errors import BudgetExceeded, OutOfRange, QuadratureUnstable, ZeroSectionSingularity
 from polylat.lattice import dual_lattice
 from polylat.zeta import kzeta_accelerated
 
@@ -137,6 +138,21 @@ def test_grade_is_sum_of_weighted_pieces(request, case, n):
     scale = max(abs(v) for v in expected.values())
     for key, val in expected.items():
         assert abs(grade.components[key] - val) <= 1e-13 * scale, key
+
+
+def test_grade_budget_before_allocation(d2, monkeypatch):
+    # d = 2 grade 28 has 4495 monomials x 21924 components: refused from
+    # (d, n, rank) before any product of linear forms is expanded
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("expanded before the size check")
+
+    monkeypatch.setattr(currents, "linear_form_products", no_expansion)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="^grade 28: 9.85e\\+07 monomials x components exceed 1e\\+06$"):
+        g_grade(d2, D2_POINT, 28)
+    with pytest.raises(BudgetExceeded):
+        g_abk(d2, 14, 14, 0, D2_POINT)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_grade_is_one_zeta_call(tau_i, d2, monkeypatch):

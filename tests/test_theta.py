@@ -1,3 +1,5 @@
+from fractions import Fraction
+import itertools
 import math
 
 import mpmath as mp
@@ -120,6 +122,18 @@ def test_poisson_residuals():
     assert poisson_check(data, P, 1.0, [1 / 3, 0], 90.0, 90.0) <= 1e-10
     zero = VectorPolynomial(2, {}, homogeneous=True)
     assert poisson_check(data, zero, 1.0, [0, 0], 90.0, 90.0) == 0.0
+    # skewed frames of index 4 at 90 and a rank-4 product at 120: their
+    # sup-norm box-shell tails do not certify 1e-12 at these radii
+    for factors, radius in (
+        ([(Fraction(-1, 2), Fraction(3, 2), 2)], 90.0),
+        ([(Fraction(1, 2), Fraction(7, 4), 2)], 90.0),
+        ([(0, 1, 1), (Fraction(1, 2), Fraction(3, 2), 1)], 120.0),
+    ):
+        data = PolarizedAbelianData.product(*(PolarizedAbelianData.from_tau(*f) for f in factors))
+        r = data.rank
+        h = [1 / 3] + [0] * (r - 1)
+        for P in (VectorPolynomial.constant(1.0, r), VectorPolynomial(r, {(2,) + (0,) * (r - 1): [1.0]})):
+            assert poisson_check(data, P, 1.0, h, radius, radius) <= 1e-10
 
 
 def test_poisson_requires_certified_tails():
@@ -128,11 +142,45 @@ def test_poisson_requires_certified_tails():
         poisson_check(data, VectorPolynomial.constant(1.0, 2), 1.0, [0, 0], 4.0, 4.0)
 
 
-def test_parallel_matches_sequential(tau_i_frame):
-    P = VectorPolynomial(2, {(2, 0): [1.0]})
-    seq = theta_direct(tau_i_frame, P, [0.2, 0.7], 0.8, tol=1e-13, threads=1)
-    par = theta_direct(tau_i_frame, P, [0.2, 0.7], 0.8, tol=1e-13, threads=4)
-    assert np.max(np.abs(seq.value - par.value)) <= 1e-13 * max(1.0, float(np.max(np.abs(seq.value))))
+def _theta_reference(frame, P, u, t):
+    """The theta sum at 30 digits, by brute force over every m with t Q(m) <= 110.
+
+    l = V m, Q(l) = l^T M l and the phase l^T B u are taken in mpmath from
+    the frame's defining matrices; the points left out sum below 1e-40.
+    """
+    with mp.workdps(30):
+        R = 110 / t
+        reach = [math.ceil(math.sqrt(R * g)) for g in np.diag(np.linalg.inv(frame.gram))]
+        basis, q_mat = mp.matrix(frame.basis.tolist()), mp.matrix(frame.q_mat.tolist())
+        pu = mp.matrix((frame.pairing @ np.asarray(u, dtype=float)).tolist())
+        total = mp.mpc(0)
+        for m in itertools.product(*(range(-k, k + 1) for k in reach)):
+            lam = basis * mp.matrix(m)
+            q = (lam.T * q_mat * lam)[0]
+            if q > R:
+                continue
+            poly = sum(
+                complex(vec[0]) * mp.fprod(lam[j] ** a for j, a in enumerate(alpha)) for alpha, vec in P.coeffs.items()
+            )
+            total += mp.expjpi(2 * (lam.T * pu)[0]) * mp.exp(-t * q) * poly
+        return complex(total)
+
+
+# tau = i with index 4, so that its two sides differ, and a skewed frame
+@pytest.mark.parametrize("tau", [(0, 1, 2), (Fraction(1, 2), Fraction(1, 5), 1)])
+@pytest.mark.parametrize("side", ["dual", "primal"])
+def test_theta_certificate_is_honest(tau, side):
+    # loose tolerances leave a truncation error that the tail bound must cover
+    frame = SumLattice.from_abelian(PolarizedAbelianData.from_tau(*tau), side)
+    u = [0.3, 0.45]
+    for P in (VectorPolynomial.constant(1.0, 2), VectorPolynomial(2, {(2, 0): [1.0], (1, 1): [0.5]})):
+        for t in (0.3, 0.7, 1.5, 4.0):
+            ref = _theta_reference(frame, P, u, t)
+            for engine in (theta_direct, theta_transformed):
+                for tol in (1e-2, 1e-4, 1e-7):
+                    res = engine(frame, P, u, t, tol=tol)
+                    assert res.tail_bound <= tol
+                    assert res.tail_bound >= abs(res.scalar() - ref) - 1e-13, (engine.__name__, P.degree, t, tol)
 
 
 def test_transform_law_primal_side_kappa4():

@@ -16,7 +16,7 @@ from polylat.errors import (
 )
 from polylat.polygauss import VectorPolynomial
 from polylat.verify import random_abelian_data
-from polylat import zeta
+from polylat import sums, zeta
 from polylat.zeta import (
     kzeta,
     kzeta_accelerated,
@@ -272,7 +272,7 @@ def test_batch_matches_single_points(which, chunk, monkeypatch):
         for s, A in cases:
             for k, u in enumerate(us):
                 singles[P.degree, s, A, k] = zeta._gamma_k(frame, P, [u], complex(s), A, 1e-11)[0][0]
-    monkeypatch.setattr(zeta, "_CHUNK", chunk)
+    monkeypatch.setattr(sums, "_CHUNK", chunk)
     for P in (VectorPolynomial.constant(1.0, r), quad):
         for s, A in cases:
             batch, _tail = zeta._gamma_k(frame, P, us, complex(s), A, 1e-11)
@@ -307,7 +307,7 @@ def test_paired_sum_odd_polynomial_off_lattice(tau_i_frame):
     def weight(q):
         return np.exp(-(2.5 + 0.5j) * np.log(q))
 
-    got = zeta._paired_sum(frame, P, us, R, weight)
+    got = sums._paired_sum(frame, P, us, R, weight)
     reach = math.ceil(math.sqrt(R / float(np.linalg.eigvalsh(frame.gram)[0])))
     box = np.array(list(itertools.product(range(-reach, reach + 1), repeat=2)))
     q = frame.q_values(box)
@@ -318,4 +318,4 @@ def test_paired_sum_odd_polynomial_off_lattice(tau_i_frame):
         ref = sum(c * wt * P.evaluate(pt) for c, wt, pt in zip(chi, w, y))
         assert np.max(np.abs(got[k] - ref)) <= 1e-12 * float(np.max(np.abs(ref)))
     # trivial characters: the +-l pairs cancel exactly
-    assert not np.any(zeta._paired_sum(frame, P, [(0.0, 0.0)], R, weight))
+    assert not np.any(sums._paired_sum(frame, P, [(0.0, 0.0)], R, weight))
