@@ -364,7 +364,7 @@ def cmd_eisenstein_eval(args):
     if cfg.lattice_kind != "abelian":
         raise ConfigError("eisenstein eval needs abelian lattice data")
     x = TorsionPoint.from_rationals(parse_rational_vector(args.torsion, cfg.data.rank))
-    n_max = args.nmax if args.nmax else args.l + 3
+    n_max = args.nmax if args.nmax is not None else args.l + 3
     cv = eisenstein_value(cfg.data, x, args.l, n_max, tol=cfg.tol(args.tol))
     emit(
         {

@@ -172,7 +172,7 @@ def _contraction_quadratics(data):
 def _dual_frame(data, u):
     """The dual summation frame of data, once u is checked to lie off the zero section."""
     frame = SumLattice.from_abelian(data, side="dual")
-    if frame.in_base_lattice(u):
+    if frame.on_zero_section([u])[0]:
         raise ZeroSectionSingularity("g_{a,b} is singular on the zero section")
     return frame
 

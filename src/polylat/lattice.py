@@ -182,10 +182,19 @@ class SumLattice:
         v = np.asarray(u, dtype=float)
         return v - np.floor(v)
 
-    def in_base_lattice(self, u):
-        """True when u lies in Z^rank up to the snap tolerance."""
-        v = self.reduce_point(u)
-        return bool(np.all(np.minimum(v, 1.0 - v) < SNAP_TOL))
+    def dual_centers(self, us):
+        """Row k: c_k = -V^{-1} h_k, h_k the reduced point of us[k] and V the
+        dual basis.  The dual points of u_k are w = V (m - c_k), m integral."""
+        hs = np.array([self.reduce_point(u) for u in us])
+        return -np.linalg.solve(self.dual_basis, hs.T).T
+
+    def on_zero_section(self, us):
+        """Row k: True when every character chi_l(us[k]) is 1, that is when
+        the dual center c_k is integral within SNAP_TOL per coordinate (u in
+        Z^rank on dual and Euclidean frames, in the dual lattice on primal
+        ones).  Then one dual point is w = 0."""
+        c = self.dual_centers(us)
+        return np.all(np.abs(c - np.round(c)) < SNAP_TOL, axis=1)
 
 
 def box_shell(rank, k):

@@ -164,10 +164,6 @@ class GaussPolyFactor:
             out += _times(part.monomial_table(ws), part.matrix * t ** (-m))
         return out
 
-    def monomials_by_tpower(self):
-        """Map m -> list of (alpha, coeff vector); used by the Mellin split."""
-        return {m: list(part.coeffs.items()) for m, part in self.by_tpower.items()}
-
     def poly_degree(self):
         return max((sum(alpha) for (alpha, _m) in self.poly), default=0)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .incgamma import upper_gamma_bound
-from .lattice import SNAP_TOL, cell_radius, ellipsoid_chunks, ellipsoid_radius, shell_point_count
+from .lattice import cell_radius, ellipsoid_chunks, ellipsoid_radius, shell_point_count
 
 _CHUNK = 1 << 16  # points per enumerated chunk, and entries per (points u) x (lattice points) array
 
@@ -201,7 +201,7 @@ def _paired_sum(frame, P, us, R, weight):
     chunk; the characters per block of points u, chunk x block at most _CHUNK.
     """
     chars = [(frame.reduce_point(u), frame.phase_data(u)) for u in us]
-    trivial = not any(np.any(h) for h, _phase in chars)  # every character is 1
+    trivial = frame.on_zero_section(us).all()  # every character is 1
     constant = P.degree == 0
     # P(-y) from the table at y: each monomial's sign is (-1)^|alpha|
     minus = P.matrix * (-1.0) ** P.exponents.sum(axis=1)[:, None]
@@ -247,23 +247,48 @@ def _characters(frame, ms, block):
     )
 
 
-def _dual_sum(gram, V, gf, hs, R, radial, *, budget, what):
-    """Row k: sum over 0 < Qdual(w) <= R of sum over m of radial(m, Qdual(w))
-    gf.by_tpower[m](w), at the points w = V m + h_k (V the dual basis).
+def _dual_gram(frame, gf):
+    """G with Qdual(V x) = x^T G x, V the dual basis of frame."""
+    V = frame.dual_basis
+    return V.T @ gf.dual_form @ V
 
-    radial(m, qd) is the radial factor of the power t^-m at an array qd.
-    The points are the m with Q(m - c_k) <= R for Q(x) = x^T gram x and
-    c_k = -V^{-1} h_k.  The candidates m are enumerated once, about the
-    origin within R_c >= (sqrt(R) + max_k sqrt(Q(c_k)))^2, once that
-    ellipsoid is known to hold at most `budget` points; each block of
-    centers keeps its own, and block x candidates x monomials is at most
-    _CHUNK.  The w = 0 term is left out (see _zero_term).
+
+def _dual_tail(frame, gf, scale, s_re, decay, r_min=0.0):
+    """R -> the bound of _tail on the dual sum beyond Qdual(w) = R, each
+    monomial of the power t^-m weighted by scale(m)."""
+    monomials = [(alpha, vec, scale(m)) for m, part in gf.by_tpower.items() for alpha, vec in part.coeffs.items()]
+    return _tail(_dual_gram(frame, gf), gf.dual_form, monomials, s_re, decay=decay, r_min=r_min)
+
+
+def _dual_sum(frame, gf, us, R, radial, radial0, *, budget, what):
+    """Row k: sum over Qdual(w) <= R of sum over m of radial(m, Qdual(w))
+    gf.by_tpower[m](w), at the dual points w = V (m - c_k) of u_k (see
+    SumLattice.dual_centers).
+
+    radial(m, qd) is the radial factor of the power t^-m at an array qd,
+    and radial0(m) its closed form at qd = 0 (asked for only where the
+    constant monomial of t^-m is not 0).  For u_k on the zero section the
+    center is snapped to its integer point and the w = 0 term is that
+    constant times radial0(m); every other point keeps all its terms.  The
+    candidates m are enumerated once, about the origin within
+    R_c >= (sqrt(R) + max_k sqrt(Q(c_k)))^2, once that ellipsoid is known to
+    hold at most `budget` points; each block of centers keeps its own, and
+    block x candidates x monomials is at most _CHUNK.
     """
-    centers = -np.linalg.solve(V, np.asarray(hs).T).T
+    V, gram = frame.dual_basis, _dual_gram(frame, gf)
+    zero = frame.on_zero_section(us)
+    centers = frame.dual_centers(us)
+    centers[zero] = np.round(centers[zero])
+    n, dim = len(centers), gf.target_dim
+    at_zero = 0.0
+    if zero.any():
+        for m, poly in gf.by_tpower.items():
+            c0 = poly.value_at_zero()
+            if np.any(c0 != 0):
+                at_zero = at_zero + c0 * radial0(m)
     R_c = (math.sqrt(R) + math.sqrt(np.einsum("ij,jk,ik->i", centers, gram, centers).max())) ** 2
     if R_c > R and R_c > ellipsoid_radius(gram, budget):
         raise BudgetExceeded(f"{what}: candidates within {R_c:.6g} of the origin exceed {budget:.3g} points")
-    n, dim = len(centers), gf.target_dim
     per_point = max((len(part.matrix) for part in gf.by_tpower.values()), default=1)
     acc = CompensatedSum(n * dim)
     for ms, _q in ellipsoid_chunks(gram, R_c, chunk=max(1, _CHUNK // per_point)):
@@ -271,7 +296,7 @@ def _dual_sum(gram, V, gf, hs, R, radial, *, budget, what):
         for block in _blocks(centers, len(ms) * per_point):
             x = ms[None, :, :] - block[:, None, :]  # m - c, block x candidates x rank
             qd = np.einsum("bij,jk,bik->bi", x, gram, x)
-            keep = (qd > SNAP_TOL) & (qd <= R)
+            keep = (qd > 0) & (qd <= R)  # w = 0 only where a snapped center meets its own m
             rows = np.nonzero(keep)[0]  # the block row of each kept point, ascending
             present, starts = np.unique(rows, return_index=True)
             ws, qd = x[keep] @ V.T, qd[keep]
@@ -281,16 +306,6 @@ def _dual_sum(gram, V, gf, hs, R, radial, *, budget, what):
                 part[present] += terms @ poly.matrix
             parts.append(part)
         acc.add(np.concatenate(parts, axis=None))
-    return acc.value.reshape(n, dim)
-
-
-def _zero_term(gf, radial0):
-    """The w = 0 term that _dual_sum leaves out, for h on the lattice: each
-    power t^-m gives its constant monomial times radial0(m), the radial
-    factor at Qdual = 0 (asked for only where that constant is not 0)."""
-    total = np.zeros(gf.target_dim, dtype=complex)
-    for m, poly in gf.by_tpower.items():
-        c0 = poly.value_at_zero()
-        if np.any(c0 != 0):
-            total = total + c0 * radial0(m)
-    return total
+    value = acc.value.reshape(n, dim)
+    value[zero] += at_zero
+    return value

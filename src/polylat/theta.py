@@ -14,25 +14,11 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .lattice import SumLattice, box_shell, ellipsoid_radius
-from .polygauss import VectorPolynomial, gaussian_ft
-from .sums import _dual_sum, _paired_sum, _tail, _zero_term, certified_sum, gaussian_tail
+from .polygauss import gaussian_ft
+from .sums import _dual_gram, _dual_sum, _dual_tail, _paired_sum, _tail, certified_sum, gaussian_tail
 
 DEFAULT_SHELL_CAP = 220
 POISSON_POINT_BUDGET = 1e7  # points that either side of poisson_check may visit
-
-
-@dataclass(frozen=True)
-class ThetaSpec:
-    """Inputs of one theta evaluation over an abelian frame."""
-
-    data: object
-    lattice_side: str  # 'primal' or 'dual'
-    P: VectorPolynomial
-    u: tuple
-    t: float
-
-    def frame(self):
-        return SumLattice.from_abelian(self.data, side=self.lattice_side)
 
 
 @dataclass
@@ -142,34 +128,28 @@ def poisson_check(data, P, t, h, r_direct, r_dual, tail_req=1e-12):
     LHS sums f(l') = exp(<l',h>) e^{-tQ(l')} P(l') over the dual-lattice
     ellipsoid Q <= r_direct (the paired sum, plus P(0)); RHS sums the
     closed-form transform over the w = m + h with Qdual(w) <= r_dual (the
-    dual sum about -h, plus the w = 0 term when h is on the lattice).
+    dual sum about -h, plus the w = 0 term when h is on the zero section).
     Both power_tail bounds must certify below tail_req and both ellipsoids
     hold at most POISSON_POINT_BUDGET points, else BudgetExceeded.
     """
     frame = SumLattice.from_abelian(data, side="dual")
     if P.is_zero():
         return 0.0
-    h = frame.reduce_point(h)
     gf = gaussian_ft(P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
-    V = frame.dual_basis
-    gram_d = V.T @ gf.dual_form @ V
     prefactor = gf.disc_factor * t**gf.prefactor_exponent
     direct = [(alpha, vec, 1.0) for alpha, vec in P.coeffs.items()]
     tail_direct = _tail(frame.gram, frame.q_mat, direct, 0.0, decay=t)(r_direct)
-    dual = [(alpha, vec, t**-m) for m, monos in gf.monomials_by_tpower().items() for alpha, vec in monos]
-    tail_dual = prefactor * _tail(gram_d, gf.dual_form, dual, 0.0, decay=math.pi**2 / t)(r_dual)
+    tail_dual = prefactor * _dual_tail(frame, gf, lambda m: t**-m, 0.0, decay=math.pi**2 / t)(r_dual)
     if tail_direct > tail_req or tail_dual > tail_req:
         raise BudgetExceeded(
             f"poisson_check: tails {tail_direct:.2e}/{tail_dual:.2e} above {tail_req}"
         )
-    for side, gram, R in (("direct", frame.gram, r_direct), ("dual", gram_d, r_dual)):
+    for side, gram, R in (("direct", frame.gram, r_direct), ("dual", _dual_gram(frame, gf), r_dual)):
         if R > ellipsoid_radius(gram, POISSON_POINT_BUDGET):
             raise BudgetExceeded(f"poisson_check: the {side} radius {R:.6g} exceeds {POISSON_POINT_BUDGET:.3g} points")
     lhs = _paired_sum(frame, P, [h], r_direct, lambda q: np.exp(-t * q))[0] + P.value_at_zero()
     rhs = _dual_sum(
-        gram_d, V, gf, [h], r_dual, lambda m, qd: t**-m * np.exp(-(math.pi**2 / t) * qd),
+        frame, gf, [h], r_dual, lambda m, qd: t**-m * np.exp(-(math.pi**2 / t) * qd), lambda m: t**-m,
         budget=POISSON_POINT_BUDGET, what="poisson_check (dual side)",
     )[0]
-    if frame.in_base_lattice(h):
-        rhs = rhs + _zero_term(gf, lambda m: t**-m)
     return float(np.max(np.abs(lhs - prefactor * rhs)))

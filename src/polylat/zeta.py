@@ -25,9 +25,9 @@ from .errors import (
     ZeroSectionSingularity,
 )
 from .incgamma import rgamma, upper_gamma
-from .lattice import ellipsoid_radius
+from .lattice import cell_radius, ellipsoid_chunks, ellipsoid_radius
 from .polygauss import gaussian_ft
-from .sums import _dual_sum, _paired_sum, _tail, _zero_term, solve_radius
+from .sums import _dual_gram, _dual_sum, _dual_tail, _paired_sum, _tail, solve_radius
 
 POINT_BUDGET = 2e9  # points a direct sum may visit; the rank-2 s = 2 regime check needs ~1.2e9
 # points an accelerated piece may visit: each is one entry of an array upper_gamma per
@@ -95,7 +95,7 @@ def _accelerated(frame, P, us, s, A, tol):
 def kzeta_gamma_product(frame, P, u, s, split_a=1.0, tol=1e-10):
     """The assembled Gamma(s) * K(s) before dividing by Gamma.
 
-    For u outside the base lattice every piece is entire in s, which the
+    For u off the zero section every piece is entire in s, which the
     suite checks through a Cauchy-integral reconstruction on a small circle.
     """
     with _double_range(s):
@@ -124,8 +124,8 @@ def _gamma_k(frame, P, us, s, A, piece_tol):
 
     Returns (totals, certified tail): one row of totals per point, one tail
     for all.  Each of the two lattice pieces is certified to piece_tol.
-    Everything but the characters, the dual points w = V m + h and the
-    zero term is independent of u and is computed once for the batch.
+    Everything but the characters, the dual points and the w = 0 term is
+    independent of u and is computed once for the batch.
     """
     if A <= 0 or piece_tol <= 0:
         raise ValueError("split point and tol must be positive")
@@ -142,8 +142,7 @@ def _gamma_k(frame, P, us, s, A, piece_tol):
 
     # the transformed polynomial does not depend on the shift h
     gf = gaussian_ft(P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
-    by_tpow = gf.monomials_by_tpower()
-    rhos = {m: half + m - s for m in by_tpow}
+    rhos = {m: half + m - s for m in gf.by_tpower}
 
     def mellin_at_zero(m):  # the radial factor at Qdual = 0: int_0^A t^(s - r/2 - m - 1) dt
         denom = s - half - m
@@ -151,14 +150,8 @@ def _gamma_k(frame, P, us, s, A, piece_tol):
             raise ZeroSectionSingularity(f"dual-side constant term diverges at s = {half + m}")
         return A**denom / denom
 
-    # dual-side zero term, for u in the base lattice
-    on_lattice = np.array([frame.in_base_lattice(u) for u in us])
-    zero_term = _zero_term(gf, mellin_at_zero) if on_lattice.any() else 0.0
-
-    V = frame.dual_basis
-    gram_d = V.T @ gf.dual_form @ V
-    tail_ii = _gamma_dual_tail(gram_d, gf, by_tpow, rhos, A)
-    R_ii = solve_radius(tail_ii, piece_tol, gram_d, GAMMA_POINT_BUDGET, "accelerated zeta (dual piece)")
+    tail_ii = _gamma_dual_tail(frame, gf, rhos, A)
+    R_ii = solve_radius(tail_ii, piece_tol, _dual_gram(frame, gf), GAMMA_POINT_BUDGET, "accelerated zeta (dual piece)")
 
     def mellin(m, qd):
         # int_0^A t^(s - r/2 - m - 1) e^(-pi^2 qd / t) dt = Gamma(rho, pi^2 qd / A) / (pi^2 qd)^rho
@@ -170,13 +163,12 @@ def _gamma_k(frame, P, us, s, A, piece_tol):
 
     # the dual piece checks its candidates' budget before it enumerates,
     # so it is summed first: both budgets fail before anything is summed
-    hs = np.array([frame.reduce_point(u) for u in us])
     sum_ii = _dual_sum(
-        gram_d, V, gf, hs, R_ii, mellin, budget=GAMMA_POINT_BUDGET, what="accelerated zeta (dual piece)"
+        frame, gf, us, R_ii, mellin, mellin_at_zero, budget=GAMMA_POINT_BUDGET, what="accelerated zeta (dual piece)"
     )
     sum_i = _paired_sum(frame, P, us, R_i, gamma_weight)
 
-    total = sum_i + gf.disc_factor * (sum_ii + on_lattice[:, None] * zero_term)
+    total = sum_i + gf.disc_factor * sum_ii
     if np.any(p0 != 0):
         total = total - p0 * A**s / s
     return total, tail_i(R_i) + gf.disc_factor * tail_ii(R_ii)
@@ -201,18 +193,13 @@ def _power(A, p):
         return math.inf
 
 
-def _gamma_dual_tail(gram, gf, by_tpow, rhos, A):
+def _gamma_dual_tail(frame, gf, rhos, A):
     """R -> the bound on the dual piece beyond Qdual(w) = R (see _dual_sum)."""
     # per monomial, |Gamma(rho, y) / (pi^2 Qd)^rho| <= c A^{1 - Re rho} e^{-y} / (pi^2 Qd)
     # at y = pi^2 Qd / A, once y >= 2 (Re rho - 1)
-    monomials = [
-        (alpha, vec, (1.0 if rhos[m].real <= 1 else 2.0) * _power(A, 1.0 - rhos[m].real) / math.pi**2)
-        for m, monos in by_tpow.items()
-        for alpha, vec in monos
-    ]
     max_rho_re = max((rho.real for rho in rhos.values()), default=0.0)
-    return _tail(
-        gram, gf.dual_form, monomials, 1.0,
+    return _dual_tail(
+        frame, gf, lambda m: (1.0 if rhos[m].real <= 1 else 2.0) * _power(A, 1.0 - rhos[m].real) / math.pi**2, 1.0,
         decay=math.pi**2 / A, r_min=2.0 * (max_rho_re - 1.0) * A / math.pi**2,
     )
 
@@ -231,18 +218,21 @@ def kzeta(frame, P, u, s, mode="auto", split_a=1.0, tol=1e-10):
         mode = "direct" if cheap else "accel"
     if mode == "direct":
         return kzeta_direct(frame, P, u, s, tol=tol)
-    if mode in ("accel", "accelerated"):
+    if mode == "accel":
         return kzeta_accelerated(frame, P, u, s, split_a=split_a, tol=tol)
     raise ValueError("mode must be auto, direct or accel")
 
 
 def torus_distance(frame, u):
-    """Distance from u to the base lattice Z^rank (ambient coordinates)."""
-    v = frame.reduce_point(u)
-    best = math.inf
-    for corner in np.ndindex(*(2,) * frame.rank):
-        best = min(best, float(np.linalg.norm(v - np.array(corner, dtype=float))))
-    return best
+    """Distance from u to the zero section (ambient coordinates): the least
+    |w| over the dual points w = V (m - c) of u, 0 on the zero section."""
+    if frame.on_zero_section([u])[0]:
+        return 0.0
+    V, c = frame.dual_basis, frame.dual_centers([u])[0]
+    gram = V.T @ V
+    # round(c) is within cell_radius of c, so that ellipsoid holds the nearest m
+    ms = np.vstack([ms for ms, _q in ellipsoid_chunks(gram, cell_radius(gram) ** 2, center=c)])
+    return float(np.min(np.linalg.norm((ms - c) @ V.T, axis=1)))
 
 
 def smoothness_scan(frame, P, s, grid, fd_step=0.01, tol=1e-11):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ E = [[0, -1], [1, 0]]
 [defaults]
 tol = 1e-10
 """
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 EUCLID = """
 [lattice]
@@ -153,6 +156,15 @@ def test_cli_zeta_check(tmp_path):
     assert rec["status"] == "pass"
     assert rec["relative_spread"] <= 1e-9
     assert rec["direct_gap"] <= 1e-8
+
+
+@pytest.mark.parametrize("u", ["0.5,0", "0.25,0.375"])
+@pytest.mark.parametrize("side", ["dual", "primal"])
+@pytest.mark.parametrize("cfg", ["tau_i.cfg", "kappa4.cfg"])
+def test_cli_zeta_check_bundled_configs(capsys, cfg, side, u):
+    # kappa4's dual lattice is (Z/2)^2, so u = (1/2, 0) is on the zero section of its primal frame
+    assert main(["zeta", "check", str(CONFIGS / cfg), "--side", side, "--s", "3,0", "--u", u]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 def test_cli_zeta_scan_csv(tmp_path):
@@ -344,6 +356,14 @@ def test_cli_eisenstein_zero_section_exit1(tmp_path):
     proc = run_cli("eisenstein", "eval", path, "--torsion", "0,0", "--l", "2")
     assert proc.returncode == 1
     assert "ZERO_SECTION_SINGULARITY" in proc.stderr
+
+
+@pytest.mark.parametrize("nmax", ["0", "1"])
+def test_cli_eisenstein_nmax_below_grade_exit1(tmp_path, capsys, nmax):
+    # a given --nmax is used as given, 0 included: grade l + 3 = 5 lies beyond it
+    path = write(tmp_path, "a.cfg", TAU_I)
+    assert main(["eisenstein", "eval", path, "--torsion", "1/3,0", "--l", "2", "--nmax", nmax]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "OUT_OF_RANGE"
 
 
 def test_cli_algebra_verify():

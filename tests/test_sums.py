@@ -140,11 +140,10 @@ def test_gamma_dual_tail_covers_exact_remainder(tau, s, A, u):
     frame = SumLattice.from_abelian(PolarizedAbelianData.from_tau(*tau), "dual")
     P = VectorPolynomial(2, {(2, 0): [1.0], (1, 1): [0.5j]})
     gf = gaussian_ft(P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
-    by_tpow = gf.monomials_by_tpower()
-    rhos = {m: 1.0 + m - s for m in by_tpow}
+    rhos = {m: 1.0 + m - s for m in gf.by_tpower}
     V = frame.dual_basis
     gram = V.T @ gf.dual_form @ V
-    tail = zeta._gamma_dual_tail(gram, gf, by_tpow, rhos, A)
+    tail = zeta._gamma_dual_tail(frame, gf, rhos, A)
     h = frame.reduce_point(u)
     big = 60.0 * A
     chunks = list(ellipsoid_chunks(gram, big, center=-np.linalg.solve(V, h)))
@@ -152,10 +151,10 @@ def test_gamma_dual_tail_covers_exact_remainder(tau, s, A, u):
     ms, q = ms[q > 1e-12], q[q > 1e-12]
     ws = ms @ V.T + h
     f = np.zeros(len(q))
-    for m, monos in by_tpow.items():
+    for m, part in gf.by_tpower.items():
         rho = rhos[m]
         g = np.abs(upper_gamma(rho, math.pi**2 * q / A)) * (math.pi**2 * q) ** -rho.real
-        for alpha, vec in monos:
+        for alpha, vec in part.coeffs.items():
             f += g * np.abs(np.prod(ws ** np.array(alpha), axis=1)) * np.max(np.abs(vec))
     checked = 0
     for R in _radii(gram, big, q):

@@ -32,11 +32,13 @@ def tau_i_frame():
     return SumLattice.from_abelian(PolarizedAbelianData.from_tau(0, 1), "dual")
 
 
-def test_jacobi_value(rank1_frame):
+def test_jacobi_value(rank1_frame, tau_i_frame):
     res = theta_direct(rank1_frame, VectorPolynomial.constant(1.0, 1), [0.0], 1.0, tol=1e-12)
     assert abs(res.scalar().real - jacobi_oracle()) <= 1e-9
     assert abs(res.scalar().real - 1.0864348112) <= 1e-9
     assert res.tail_bound <= 1e-12
+    res = theta_direct(tau_i_frame, VectorPolynomial.constant(1.0, 2), [0.0, 0.0], 1.0, tol=1e-12)
+    assert abs(res.scalar().real - 1.180340599016096) < 1e-10  # sum e^{-pi|l|^2} on Z^2
 
 
 def test_self_dual_fixed_point(rank1_frame):
@@ -136,6 +138,12 @@ def test_poisson_residuals():
             assert poisson_check(data, P, 1.0, h, radius, radius) <= 1e-10
 
 
+def test_poisson_near_zero_section():
+    # h = (1e-7, 0) is off the zero section: the dual point w = h keeps its term
+    data = PolarizedAbelianData.from_tau(0, 1)
+    assert poisson_check(data, VectorPolynomial.constant(1.0, 2), 1.0, [1e-7, 0], 90.0, 90.0) <= 1e-10
+
+
 def test_poisson_requires_certified_tails():
     data = PolarizedAbelianData.from_tau(0, 1)
     with pytest.raises(BudgetExceeded):
@@ -193,19 +201,3 @@ def test_transform_law_primal_side_kappa4():
         a = theta_direct(frame, P, u, t, tol=1e-13)
         b = theta_transformed(frame, P, u, t, tol=1e-13)
         assert abs(a.scalar() - b.scalar()) <= 1e-10 * max(abs(a.scalar()), 1e-30)
-
-
-def test_theta_spec_container():
-    from polylat.theta import ThetaSpec
-
-    data = PolarizedAbelianData.from_tau(0, 1)
-    spec = ThetaSpec(
-        data=data,
-        lattice_side="dual",
-        P=VectorPolynomial.constant(1.0, 2),
-        u=(0.0, 0.0),
-        t=1.0,
-    )
-    frame = spec.frame()
-    res = theta_direct(frame, spec.P, spec.u, spec.t, tol=1e-12)
-    assert abs(res.scalar().real - 1.180340599016096) < 1e-10  # sum e^{-pi|l|^2} on Z^2

@@ -44,6 +44,13 @@ def tau_i_frame():
     return SumLattice.from_abelian(PolarizedAbelianData.from_tau(0, 1), "dual")
 
 
+@pytest.fixture
+def kappa4_primal():
+    # tau = i with doubled pairing (configs/kappa4.cfg): the zero section of
+    # its primal frame is the dual lattice (Z/2)^2
+    return SumLattice.from_abelian(PolarizedAbelianData.from_tau(0, 1, 2), "primal")
+
+
 def test_direct_values_against_factorization(z2):
     P = VectorPolynomial.constant(1.0, 2)
     v3 = kzeta_direct(z2, P, [0, 0], 3.0, tol=4e-9)
@@ -173,6 +180,21 @@ def test_zero_section_continuation_off_pole(z2):
     assert np.isfinite(v.scalar().real)
 
 
+@pytest.mark.parametrize(
+    "which, u",
+    [("kappa4_primal", (0.5, 0.0)), ("kappa4_primal", (Fraction(1, 2), Fraction(0)))]
+    + [("tau_i_frame", (e, 0.0)) for e in (1e-5, 1e-7, 1e-9, 1e-11)],
+)
+def test_regimes_agree_on_and_near_zero_section(which, u, request):
+    # on the zero section the dual piece trades its w = 0 term for its closed
+    # form; just off it the dual point w = h keeps its term, however small |h|
+    frame = request.getfixturevalue(which)
+    P = VectorPolynomial.constant(1.0, 2)
+    vd = kzeta_direct(frame, P, u, 3.0)
+    va = kzeta_accelerated(frame, P, u, 3.0)
+    assert abs(vd.scalar() - va.scalar()) <= vd.error_bound + va.error_bound, (vd.scalar(), va.scalar())
+
+
 def test_boundary_pole_at_zero(z2):
     P = VectorPolynomial.constant(1.0, 2)
     with pytest.raises(PoleAtS):
@@ -203,10 +225,12 @@ def test_complex_s_consistency(tau_i_frame):
     assert abs(vd.scalar() - va.scalar()) <= 1e-8 * max(abs(vd.scalar()), 1e-12)
 
 
-def test_smoothness_scan_guard(tau_i_frame):
+def test_smoothness_scan_guard(tau_i_frame, kappa4_primal):
     P = VectorPolynomial.constant(1.0, 2)
     with pytest.raises(GridTouchesZeroSection):
         smoothness_scan(tau_i_frame, P, 2.0, [(0.0, 0.0)], fd_step=0.01)
+    with pytest.raises(GridTouchesZeroSection):
+        smoothness_scan(kappa4_primal, P, 2.0, [(0.5, 0.5)], fd_step=0.01)
 
 
 def test_smoothness_scan_values(tau_i_frame):
@@ -227,10 +251,12 @@ def test_scan_matches_direct_at_large_s(tau_i_frame):
     assert abs(rows[0]["value"][0] - vd.scalar()) <= 1e-8
 
 
-def test_torus_distance(tau_i_frame):
+def test_torus_distance(tau_i_frame, kappa4_primal):
     assert torus_distance(tau_i_frame, [0.0, 0.0]) == 0.0
     assert abs(torus_distance(tau_i_frame, [0.5, 0.0]) - 0.5) < 1e-15
     assert abs(torus_distance(tau_i_frame, [0.9, 0.9]) - math.hypot(0.1, 0.1)) < 1e-15
+    assert torus_distance(kappa4_primal, [0.5, 0.5]) == 0.0
+    assert abs(torus_distance(kappa4_primal, [0.4, 0.1]) - math.hypot(0.1, 0.1)) < 1e-15
 
 
 def test_auto_mode_picks_working_regime(z2):
