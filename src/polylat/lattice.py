@@ -1,9 +1,9 @@
-"""Summation frames on polarized lattices: Hodge split, Q, characters, shells.
+"""Summation frames on polarized lattices: Hodge split, Q, characters, ellipsoids.
 
 The exact polarized data (J, E), its dual lattice and the pairing
 conventions live in `polarized`, which needs no numpy; they are
-re-exported here.  This module is where floats enter: summation frames,
-sup-norm box shells and the Fincke-Pohst ellipsoid enumeration.
+re-exported here.  This module is where floats enter: summation frames
+and the Fincke-Pohst ellipsoid enumeration.
 """
 
 from dataclasses import dataclass
@@ -90,12 +90,8 @@ class SumLattice:
         evals = np.linalg.eigvalsh(0.5 * (self.gram + self.gram.T))
         if evals[0] <= 0:
             raise ConventionViolation("summation Gram matrix is not positive definite")
-        # explicit lower bound Q(l) >= sigma_min |m|^2, with a safety margin
-        self.sigma_min = float(evals[0]) - 1e-10
         self.sigma_max = float(evals[-1]) + 1e-10
         self.vol_scale = 1.0 / abs(np.linalg.det(self.basis))
-        self.basis_norm = float(np.linalg.norm(self.basis, 2))
-        self.basis_smin = float(np.linalg.svd(self.basis, compute_uv=False)[-1])
 
     # -- constructors -------------------------------------------------------
 
@@ -120,17 +116,6 @@ class SumLattice:
         eye = np.eye(rank)
         q = eye if q_mat is None else np.asarray(q_mat, dtype=float)
         return cls(basis=eye, q_mat=q, pairing=eye, dual_basis=eye, label="euclidean")
-
-    def dual_frame(self):
-        """The pairing-dual lattice as its own summation frame."""
-        return SumLattice(
-            basis=self.dual_basis,
-            q_mat=self.q_mat,
-            pairing=self.pairing,
-            dual_basis=self.basis,
-            label=f"{self.label}-dual",
-            data=self.data,
-        )
 
     # -- pointwise geometry --------------------------------------------------
 
@@ -197,6 +182,7 @@ class SumLattice:
         return np.all(np.abs(c - np.round(c)) < SNAP_TOL, axis=1)
 
 
+# box_shell is unused: it stays because bench/tracing.py wraps it
 def box_shell(rank, k):
     """Integer vectors with sup-norm exactly k, in a fixed deterministic order."""
     if k == 0:
@@ -215,6 +201,7 @@ def box_shell(rank, k):
     return shell[order]
 
 
+# shell_point_count is used only by sums.gaussian_tail, which stays for bench/tracing.py
 def shell_point_count(rank, k):
     if k == 0:
         return 1

@@ -98,12 +98,6 @@ class VectorPolynomial:
     def value_at_zero(self):
         return self.coeffs.get((0,) * self.arity, np.zeros(self.target_dim, dtype=complex))
 
-    def coeff_l1(self):
-        """Sum of coefficient magnitudes, componentwise max (tail bounds)."""
-        if not self.coeffs:
-            return 0.0
-        return float(sum(np.max(np.abs(v)) for v in self.coeffs.values()))
-
     def is_zero(self):
         return not self.coeffs
 

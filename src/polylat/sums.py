@@ -1,10 +1,10 @@
-"""Shared summation machinery: compensated accumulation, the ellipsoid
-sums with their closed-form tails, and the box-shell driver.
+"""Shared summation machinery: compensated accumulation and the ellipsoid
+sums with their closed-form tails.
 
-The Fincke-Pohst ellipsoid sums `_paired_sum` and `_dual_sum` serve zeta,
-the currents and `theta.poisson_check`; `_tail` and `power_tail` bound
-what a radius leaves out.  The sup-norm box shells of `certified_sum` and
-`gaussian_tail` serve only `theta_direct` and `theta_transformed`.
+The Fincke-Pohst ellipsoid sums `_paired_sum` and `_dual_sum` serve theta
+(both sides), zeta, the currents and `theta.poisson_check`; `_tail` and
+`power_tail` bound what a radius leaves out, and `solve_radius` finds the
+least radius that meets a tolerance.
 """
 
 import math
@@ -15,13 +15,13 @@ from .errors import BudgetExceeded
 from .incgamma import upper_gamma_bound
 from .lattice import cell_radius, ellipsoid_chunks, ellipsoid_radius, shell_point_count
 
-_CHUNK = 1 << 16  # points per enumerated chunk, and entries per (points u) x (lattice points) array
+_CHUNK = 1 << 16  # entries of a chunk's coordinates plus its monomial table, and of a (points u) x (lattice points) array
 
 
 class CompensatedSum:
     """Neumaier compensated accumulator for complex vectors.
 
-    Shell partial sums are fed in fixed shell order; the compensation is
+    Chunk partial sums are fed in enumeration order; the compensation is
     applied per component on the real and imaginary parts separately.
     """
 
@@ -43,28 +43,13 @@ class CompensatedSum:
         return (self._parts[0] + self._parts[1]) + 1j * (self._parts[2] + self._parts[3])
 
 
+# map_shells is unused: it stays because bench/tracing.py wraps it
 def map_shells(fn, ks):
     """Apply fn to each shell index, in shell order."""
     return [fn(k) for k in ks]
 
 
-def certified_sum(partial, tail, tol, dim, *, what, shell_cap):
-    """Sum shells k = 0, 1, ... until a tail bound certifies tol.
-
-    partial(k) is the summed contribution of sup-norm shell k (a vector of
-    length dim) and tail(k) a rigorous bound on everything beyond shell k.
-    Shells are accumulated in shell order.  Returns (value, tail,
-    shells_used), shells_used being the first shell index not summed.
-    """
-    acc = CompensatedSum(dim)
-    for k in range(shell_cap + 1):
-        acc.add(map_shells(partial, [k])[0])
-        bound = tail(k)
-        if bound <= tol:
-            return acc.value, float(bound), k + 1
-    raise BudgetExceeded(f"{what}: no certified tail <= {tol} within {shell_cap} shells")
-
-
+# _sum_decaying_terms is used only by gaussian_tail, which stays for bench/tracing.py
 def _sum_decaying_terms(term, k_start, ratio_cap=0.5, max_k=100000):
     """Upper bound for sum_{k >= k_start} term(k) with superexponential decay.
 
@@ -94,6 +79,7 @@ def _sum_decaying_terms(term, k_start, ratio_cap=0.5, max_k=100000):
     return math.inf
 
 
+# gaussian_tail is unused: it stays because bench/tracing.py wraps it
 def gaussian_tail(k0, *, rank, sigma, decay, coeff, deg, growth, rho_shift=0.0, amp_shift=0.0):
     """Bound sum over sup-norm shells k > k0 of count * poly * exp(-decay*Q).
 
@@ -206,8 +192,10 @@ def _paired_sum(frame, P, us, R, weight):
     # P(-y) from the table at y: each monomial's sign is (-1)^|alpha|
     minus = P.matrix * (-1.0) ** P.exponents.sum(axis=1)[:, None]
     acc = CompensatedSum(len(us) * (1 if constant else P.target_dim))
-    chunk = max(1, _CHUNK // max(1, len(P.matrix)))  # a monomial table has at most _CHUNK entries
-    for ms, q in ellipsoid_chunks(frame.gram, R, half=True, coords=not (trivial and constant), chunk=chunk):
+    coords = not (trivial and constant)
+    # a chunk's coordinates plus its monomial table hold at most _CHUNK entries
+    chunk = max(1, _CHUNK // max(1, len(P.matrix) + (frame.rank if coords else 0)))
+    for ms, q in ellipsoid_chunks(frame.gram, R, half=True, coords=coords, chunk=chunk):
         w = weight(q)
         if not constant:
             table = P.monomial_table(frame.points(ms))
@@ -291,7 +279,8 @@ def _dual_sum(frame, gf, us, R, radial, radial0, *, budget, what):
         raise BudgetExceeded(f"{what}: candidates within {R_c:.6g} of the origin exceed {budget:.3g} points")
     per_point = max((len(part.matrix) for part in gf.by_tpower.values()), default=1)
     acc = CompensatedSum(n * dim)
-    for ms, _q in ellipsoid_chunks(gram, R_c, chunk=max(1, _CHUNK // per_point)):
+    # a chunk's coordinates plus its monomial tables hold at most _CHUNK entries
+    for ms, _q in ellipsoid_chunks(gram, R_c, chunk=max(1, _CHUNK // (per_point + frame.rank))):
         parts = []
         for block in _blocks(centers, len(ms) * per_point):
             x = ms[None, :, :] - block[:, None, :]  # m - c, block x candidates x rank

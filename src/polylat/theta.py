@@ -5,6 +5,14 @@ The transformed evaluation uses the closed-form Gaussian transform and the
 identity Theta = t^{-r/2} pi^{r/2} Disc(Q)^{-1/2} Theta_hat(Qdual, ., u, 1/t)
 (the volume is pinned so the direct-side lattice has covolume 1, which is
 what makes the Poisson identity hold without stray index factors).
+
+Both sides, and `poisson_check`, sum one Fincke-Pohst ellipsoid of the
+shared sums: the direct side the half-lattice paired sum Q(l) <= R plus
+P(0), the transformed side the dual sum Qdual(w) <= R about the dual
+center of u.  Each radius is the least one whose closed-form Gaussian
+tail (`sums._tail`, decay t or pi^2 / t) meets tol, within POINT_BUDGET
+points, checked before anything is enumerated.  The tail bounds truncation
+only, not the rounding of the sum.
 """
 
 from dataclasses import dataclass
@@ -13,102 +21,73 @@ import math
 import numpy as np
 
 from .errors import BudgetExceeded
-from .lattice import SumLattice, box_shell, ellipsoid_radius
+from .lattice import SumLattice, ellipsoid_radius
 from .polygauss import gaussian_ft
-from .sums import _dual_gram, _dual_sum, _dual_tail, _paired_sum, _tail, certified_sum, gaussian_tail
+from .sums import _dual_gram, _dual_sum, _dual_tail, _paired_sum, _tail, solve_radius
 
-DEFAULT_SHELL_CAP = 220
-POISSON_POINT_BUDGET = 1e7  # points that either side of poisson_check may visit
+POINT_BUDGET = 1e7  # points that either side of a theta sum or of poisson_check may visit
 
 
 @dataclass
 class ThetaResult:
     value: np.ndarray
     tail_bound: float
-    shells_used: int
+    shells_used: int  # always 1, the one ellipsoid summed: bench/workloads.py reads it
     mode: str
 
     def scalar(self):
         return complex(self.value[0])
 
 
-def theta_direct(frame, P, u, t, tol=1e-12, shell_cap=DEFAULT_SHELL_CAP, threads=None):
-    """Shell-by-shell direct summation with a rigorous Gaussian tail bound."""
+def theta_direct(frame, P, u, t, tol=1e-12, threads=None):
+    """Sum over the ellipsoid Q(l) <= R whose Gaussian tail certifies tol."""
     # threads is unused: it stays because bench/workloads.py passes threads=1
     if t <= 0 or tol <= 0:
         raise ValueError("t and tol must be positive")
-    h = frame.reduce_point(u)
-    phase = frame.phase_data(u)
-    coeff, growth = P.coeff_l1(), frame.basis_norm * math.sqrt(frame.rank)
-
-    def partial(k):
-        ms = box_shell(frame.rank, k)
-        pts = frame.points(ms)
-        chi = (
-            frame.char_values(ms, h)
-            if phase is None
-            else frame.char_values_exact(ms, *phase)
-        )
-        weights = chi * np.exp(-t * frame.q_values(ms))
-        return (P.evaluate_many(pts) * weights[:, None]).sum(axis=0)
-
-    def tail(k):
-        return gaussian_tail(
-            k, rank=frame.rank, sigma=frame.sigma_min, decay=t, coeff=coeff, deg=P.degree, growth=growth
-        )
-
-    value, bound, shells = certified_sum(partial, tail, tol, P.target_dim, what="direct theta", shell_cap=shell_cap)
-    return ThetaResult(value=value, tail_bound=bound, shells_used=shells, mode="direct")
+    tail = _direct_tail(frame, P, t)
+    R = solve_radius(tail, tol, frame.gram, POINT_BUDGET, "direct theta")
+    return ThetaResult(value=_direct_sum(frame, P, u, t, R), tail_bound=float(tail(R)), shells_used=1, mode="direct")
 
 
-def theta_transformed(frame, P, u, t, tol=1e-12, shell_cap=DEFAULT_SHELL_CAP, threads=None):
-    """Evaluate the Poisson-transformed side of the theta sum.
+def theta_transformed(frame, P, u, t, tol=1e-12, threads=None):
+    """Sum the Poisson-transformed side over the dual points w with
+    Qdual(w) <= R, the prefactor-scaled Gaussian tail certifying tol."""
+    # threads is unused: it stays because bench/workloads.py passes threads=1
+    if t <= 0 or tol <= 0:
+        raise ValueError("t and tol must be positive")
+    gf, prefactor, tail = _transform(frame, P, t)
+    R = solve_radius(tail, tol, _dual_gram(frame, gf), POINT_BUDGET, "transformed theta")
+    value = prefactor * _transformed_sum(frame, gf, u, t, R, "transformed theta")
+    return ThetaResult(value=value, tail_bound=float(tail(R)), shells_used=1, mode="transformed")
 
-    The transform is summed over the dual shells at the reduced shift h,
-    without the prefactor; the tail bounds the prefactor-scaled remainder
-    beyond each shell.
+
+def _direct_tail(frame, P, t):
+    """R -> the bound on sum over Q(l) > R of |P(l)| e^{-t Q(l)}."""
+    return _tail(frame.gram, frame.q_mat, [(alpha, vec, 1.0) for alpha, vec in P.coeffs.items()], 0.0, decay=t)
+
+
+def _direct_sum(frame, P, u, t, R):
+    """sum over Q(l) <= R of chi_l(u) e^{-t Q(l)} P(l), the origin included."""
+    return _paired_sum(frame, P, [u], R, lambda q: np.exp(-t * q))[0] + P.value_at_zero()
+
+
+def _transform(frame, P, t):
+    """(gf, prefactor, R -> the prefactor-scaled bound beyond Qdual(w) = R).
+
+    gf is built without the shift: _dual_sum centres each point itself.
     """
-    # threads is unused: it stays because bench/workloads.py passes threads=1
-    if t <= 0 or tol <= 0:
-        raise ValueError("t and tol must be positive")
-    h = frame.reduce_point(u)
-    gf = gaussian_ft(P, frame.q_mat, h=h, pairing=frame.pairing, vol_scale=frame.vol_scale)
-    dual = frame.dual_frame()
+    gf = gaussian_ft(P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
     prefactor = gf.disc_factor * t**gf.prefactor_exponent
-    decay = math.pi**2 / t
-    qd_sigma = float(np.linalg.eigvalsh(gf.dual_form)[0]) - 1e-12
-    h_norm = float(np.linalg.norm(h))
-    # Laurent-in-t coefficient magnitudes, evaluated at this t
-    coeff = float(
-        sum(np.max(np.abs(v)) * t ** (-m) for (_a, m), v in gf.poly.items())
-    ) if gf.poly else 0.0
-    deg = gf.poly_degree()
-    growth = dual.basis_norm * math.sqrt(dual.rank)
+    tail = _dual_tail(frame, gf, lambda m: t**-m, 0.0, decay=math.pi**2 / t)
+    return gf, prefactor, lambda R: prefactor * tail(R)
 
-    def partial(k):
-        ms = box_shell(dual.rank, k)
-        ws = dual.points(ms) + h
-        qd = np.einsum("ij,jk,ik->i", ws, gf.dual_form, ws)
-        vals = gf.poly_eval_many(ws, t) * np.exp(-decay * qd)[:, None]
-        return vals.sum(axis=0)
 
-    def tail(k):
-        return prefactor * gaussian_tail(
-            k,
-            rank=dual.rank,
-            sigma=qd_sigma * dual.basis_smin**2,
-            decay=decay,
-            coeff=coeff,
-            deg=deg,
-            growth=growth,
-            rho_shift=h_norm / dual.basis_smin,
-            amp_shift=h_norm,
-        )
-
-    value, bound, shells = certified_sum(
-        partial, tail, tol, P.target_dim, what="transformed theta", shell_cap=shell_cap
-    )
-    return ThetaResult(value=prefactor * value, tail_bound=bound, shells_used=shells, mode="transformed")
+def _transformed_sum(frame, gf, u, t, R, what):
+    """sum over Qdual(w) <= R of e^{-pi^2 Qdual(w) / t} poly(w; t), without the prefactor."""
+    return _dual_sum(
+        frame, gf, [u], R, lambda m, qd: t**-m * np.exp(-(math.pi**2 / t) * qd), lambda m: t**-m,
+        budget=POINT_BUDGET, what=what,
+    )[0]
 
 
 def theta_eval(frame, P, u, t, tol=1e-12, mode="auto"):
@@ -126,30 +105,24 @@ def poisson_check(data, P, t, h, r_direct, r_dual, tail_req=1e-12):
     """|LHS - RHS| of the Poisson identity for the Gaussian x polynomial test function.
 
     LHS sums f(l') = exp(<l',h>) e^{-tQ(l')} P(l') over the dual-lattice
-    ellipsoid Q <= r_direct (the paired sum, plus P(0)); RHS sums the
+    ellipsoid Q <= r_direct (the direct theta sum); RHS sums the
     closed-form transform over the w = m + h with Qdual(w) <= r_dual (the
-    dual sum about -h, plus the w = 0 term when h is on the zero section).
-    Both power_tail bounds must certify below tail_req and both ellipsoids
-    hold at most POISSON_POINT_BUDGET points, else BudgetExceeded.
+    transformed theta sum).  Both tail bounds must certify below tail_req
+    and both ellipsoids hold at most POINT_BUDGET points, else
+    BudgetExceeded.
     """
     frame = SumLattice.from_abelian(data, side="dual")
     if P.is_zero():
         return 0.0
-    gf = gaussian_ft(P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
-    prefactor = gf.disc_factor * t**gf.prefactor_exponent
-    direct = [(alpha, vec, 1.0) for alpha, vec in P.coeffs.items()]
-    tail_direct = _tail(frame.gram, frame.q_mat, direct, 0.0, decay=t)(r_direct)
-    tail_dual = prefactor * _dual_tail(frame, gf, lambda m: t**-m, 0.0, decay=math.pi**2 / t)(r_dual)
+    gf, prefactor, tail = _transform(frame, P, t)
+    tail_direct, tail_dual = _direct_tail(frame, P, t)(r_direct), tail(r_dual)
     if tail_direct > tail_req or tail_dual > tail_req:
         raise BudgetExceeded(
             f"poisson_check: tails {tail_direct:.2e}/{tail_dual:.2e} above {tail_req}"
         )
     for side, gram, R in (("direct", frame.gram, r_direct), ("dual", _dual_gram(frame, gf), r_dual)):
-        if R > ellipsoid_radius(gram, POISSON_POINT_BUDGET):
-            raise BudgetExceeded(f"poisson_check: the {side} radius {R:.6g} exceeds {POISSON_POINT_BUDGET:.3g} points")
-    lhs = _paired_sum(frame, P, [h], r_direct, lambda q: np.exp(-t * q))[0] + P.value_at_zero()
-    rhs = _dual_sum(
-        frame, gf, [h], r_dual, lambda m, qd: t**-m * np.exp(-(math.pi**2 / t) * qd), lambda m: t**-m,
-        budget=POISSON_POINT_BUDGET, what="poisson_check (dual side)",
-    )[0]
-    return float(np.max(np.abs(lhs - prefactor * rhs)))
+        if R > ellipsoid_radius(gram, POINT_BUDGET):
+            raise BudgetExceeded(f"poisson_check: the {side} radius {R:.6g} exceeds {POINT_BUDGET:.3g} points")
+    lhs = _direct_sum(frame, P, h, t, r_direct)
+    rhs = prefactor * _transformed_sum(frame, gf, h, t, r_dual, "poisson_check (dual side)")
+    return float(np.max(np.abs(lhs - rhs)))

@@ -11,23 +11,10 @@ from polylat.errors import BudgetExceeded
 from polylat.incgamma import upper_gamma
 from polylat.lattice import cell_radius, ellipsoid_chunks, ellipsoid_radius
 from polylat.polygauss import VectorPolynomial, gaussian_ft
-from polylat.sums import certified_sum, power_tail
+from polylat.sums import power_tail
 from polylat.theta import theta_direct, theta_transformed
 from polylat import sums, zeta
 from polylat.zeta import kzeta_accelerated, kzeta_direct
-
-
-def test_certified_sum_geometric_series():
-    # sum_k 2^-k with the exact remainder 2^-k beyond shell k
-    def partial(k):
-        return np.array([0.5**k])
-
-    def tail(k):
-        return 0.5**k
-
-    value, bound, shells = certified_sum(partial, tail, 1e-3, 1, what="toy", shell_cap=50)
-    assert (bound, shells) == (0.5**10, 11)
-    assert abs(value[0] - (2.0 - 0.5**10)) < 1e-15
 
 
 def _tau_i():
@@ -45,8 +32,9 @@ def _no_enumeration(*args, **kwargs):
 @pytest.mark.parametrize(
     "what, call",
     [
-        ("direct theta", lambda f: theta_direct(f, _P, _U, 1e-4, shell_cap=3)),
-        ("transformed theta", lambda f: theta_transformed(f, _P, _U, 100.0, shell_cap=3)),
+        # t -> 0 widens the direct ellipsoid and t -> inf the dual one
+        ("direct theta", lambda f: theta_direct(f, _P, _U, 1e-7)),
+        ("transformed theta", lambda f: theta_transformed(f, _P, _U, 1e6)),
         # a tiny split point leaves the direct piece slow, a huge one the dual piece:
         # either needs an ellipsoid beyond the point budget, found before enumerating
         ("accelerated zeta (direct piece)", lambda f: kzeta_accelerated(f, _P, _U, 3.0, split_a=1e-9)),
@@ -55,8 +43,7 @@ def _no_enumeration(*args, **kwargs):
 )
 def test_budget_exceeded_every_engine(what, call, monkeypatch):
     monkeypatch.setattr(sums, "ellipsoid_chunks", _no_enumeration)
-    limit = "3 shells" if "theta" in what else "1e+07 points"
-    with pytest.raises(BudgetExceeded, match="^" + re.escape(f"{what}: no certified tail <= ") + ".* within " + re.escape(limit) + "$"):
+    with pytest.raises(BudgetExceeded, match="^" + re.escape(f"{what}: no certified tail <= ") + ".* within 1e\\+07 points$"):
         call(_tau_i())
 
 
@@ -90,6 +77,40 @@ def test_dual_candidates_fail_fast(monkeypatch):
     monkeypatch.setattr(zeta, "solve_radius", lambda tail, tol, gram, points, what: ellipsoid_radius(gram, points))
     with pytest.raises(BudgetExceeded, match=re.escape("accelerated zeta (dual piece): candidates within ")):
         kzeta_accelerated(_tau_i(), _P, _U, 3.0)
+
+
+def test_chunk_bounds_coordinates_plus_table(monkeypatch):
+    # per chunk, the integer coordinates (rank entries a point) plus the
+    # monomial table (one entry per point and monomial) hold at most _CHUNK
+    # entries: len(P.matrix) monomials on the paired side, the most of any
+    # power t^-m on the dual side
+    asked, real = [], sums.ellipsoid_chunks  # (half, coords, chunk) of each request
+
+    def chunks(gram, R, **kwargs):
+        asked.append((kwargs.get("half", False), kwargs.get("coords", True), kwargs["chunk"]))
+        return real(gram, R, **kwargs)
+
+    monkeypatch.setattr(sums, "ellipsoid_chunks", chunks)
+    frame = SumLattice.from_abelian(
+        PolarizedAbelianData.product(*(PolarizedAbelianData.from_tau(*tau) for tau in _TAIL_FRAMES)), "dual"
+    )
+    u = [0.3, 0.1, 0.7, 0.45]
+    quartic = VectorPolynomial(
+        4, {(4, 0, 0, 0): [1.0], (2, 2, 0, 0): [0.5], (1, 1, 1, 1): [0.25j], (0, 1, 0, 3): [2.0], (0, 0, 0, 4): [1.0]}
+    )
+    gf = gaussian_ft(quartic, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
+    widths = {True: len(quartic.matrix), False: max(len(part.matrix) for part in gf.by_tpower.values())}
+    assert widths[False] > widths[True] >= 5
+    theta_direct(frame, quartic, u, 1.0, tol=1e-10)
+    theta_transformed(frame, quartic, u, 1.0, tol=1e-10)
+    kzeta_accelerated(frame, quartic, u, 3.0, tol=1e-8)
+    assert sorted({half for half, _coords, _chunk in asked}) == [False, True]  # both sides were summed
+    for half, coords, chunk in asked:
+        assert coords and chunk * (widths[half] + 4) <= sums._CHUNK, (half, chunk)
+    # the coordinate-free constant sum at u = 0 needs neither: it keeps _CHUNK rows
+    asked.clear()
+    theta_direct(frame, VectorPolynomial.constant(1.0, 4), [0, 0, 0, 0], 1.0)
+    assert asked == [(True, False, sums._CHUNK)]
 
 
 _TAIL_FRAMES = [(0, 1), (Fraction(1, 2), Fraction(1, 5))]  # tau = i and tau = 1/2 + i/5

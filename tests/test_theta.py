@@ -1,6 +1,7 @@
 from fractions import Fraction
 import itertools
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -70,10 +71,22 @@ def test_transformation_law_rank2_specialization(tau_i_frame):
 
 
 def test_direct_vs_transformed_same_value(tau_i_frame):
-    P = VectorPolynomial.constant(1.0, 2)
-    a = theta_direct(tau_i_frame, P, [0, 0], 1.0, tol=1e-12)
-    b = theta_transformed(tau_i_frame, P, [0, 0], 1.0, tol=1e-12)
-    assert abs(a.scalar() - b.scalar()) <= 1e-10 * abs(a.scalar())
+    # tau = 1/2 + i/20 squared: at t = 1 the sup-norm box that holds its
+    # ellipsoid has about 1.5M points, the ellipsoid itself 625, so only
+    # an ellipsoid sum meets the wall cap
+    curve = PolarizedAbelianData.from_tau(Fraction(1, 2), Fraction(1, 20))
+    skewed = SumLattice.from_abelian(PolarizedAbelianData.product(curve, curve), "dual")
+    for frame, u, ts, tol in (
+        (tau_i_frame, [0, 0], (1.0,), 1e-12),
+        (skewed, [0.3, 0.1, 0.7, 0.45], (0.5, 1.0), 1e-13),
+    ):
+        P = VectorPolynomial.constant(1.0, frame.rank)
+        start = time.perf_counter()
+        for t in ts:
+            a = theta_direct(frame, P, u, t, tol=tol)
+            b = theta_transformed(frame, P, u, t, tol=tol)
+            assert abs(a.scalar() - b.scalar()) <= 1e-10 * abs(a.scalar()), (frame.rank, t)
+        assert time.perf_counter() - start < 2.0, frame.rank
 
 
 def test_transformation_law_randomized():
@@ -112,8 +125,12 @@ def test_conjugation_symmetry(tau_i_frame):
 
 
 def test_budget_exceeded(tau_i_frame):
-    with pytest.raises(BudgetExceeded):
-        theta_direct(tau_i_frame, VectorPolynomial.constant(1.0, 2), [0, 0], 1e-4, tol=1e-14, shell_cap=3)
+    # the direct ellipsoid grows as 1/t and the dual one as t: both exceed the point budget
+    P = VectorPolynomial.constant(1.0, 2)
+    with pytest.raises(BudgetExceeded, match="within 1e\\+07 points$"):
+        theta_direct(tau_i_frame, P, [0, 0], 1e-7, tol=1e-14)
+    with pytest.raises(BudgetExceeded, match="within 1e\\+07 points$"):
+        theta_transformed(tau_i_frame, P, [0, 0], 1e6, tol=1e-14)
 
 
 def test_poisson_residuals():
