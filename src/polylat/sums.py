@@ -4,7 +4,8 @@ sums with their closed-form tails.
 The Fincke-Pohst ellipsoid sums `_paired_sum` and `_dual_sum` serve theta
 (both sides), zeta, the currents and `theta.poisson_check`; `_tail` and
 `power_tail` bound what a radius leaves out, and `solve_radius` finds the
-least radius that meets a tolerance.
+least radius that meets a tolerance.  Each reads its Gram factors from the
+frame's `geometry` (direct side) or `dual_geometry` (dual side).
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .incgamma import upper_gamma_bound
-from .lattice import cell_radius, ellipsoid_chunks, ellipsoid_radius, shell_point_count
+from .lattice import ellipsoid_chunks, ellipsoid_radius, shell_point_count
 
 _CHUNK = 1 << 16  # entries of a chunk's coordinates plus its monomial table, and of a (points u) x (lattice points) array
 
@@ -142,39 +143,40 @@ def power_tail(R, *, rank, sqrt_det, cell_radius, s_re, amps, decay=0.0):
     return 2.0 * math.pi ** (rank / 2) / math.gamma(rank / 2) / sqrt_det * total
 
 
-def solve_radius(tail, tol, gram, points, what):
+def solve_radius(tail, tol, geom, points, what):
     """A radius R whose tail(R) <= tol, at most 2^(1/256) times the least one.
 
     tail must not increase with R.  R is sought between 4 D^2 (below which
-    every integral-comparison tail is infinite) and the ellipsoid_radius of
-    `points` points, by bisecting log R; that takes about 15 evaluations of
-    tail.  BudgetExceeded if even the largest radius does not certify tol.
+    every integral-comparison tail is infinite; D is the cell_radius of the
+    Geometry geom) and the ellipsoid_radius of `points` points, by
+    bisecting log R; that takes about 15 evaluations of tail.
+    BudgetExceeded if even the largest radius does not certify tol.
     """
-    hi = ellipsoid_radius(gram, points)
+    hi = ellipsoid_radius(geom, points)
     if not tail(hi) <= tol:
         raise BudgetExceeded(f"{what}: no certified tail <= {tol} within {points:.3g} points")
-    lo, hi = math.log(4.0 * cell_radius(gram) ** 2), math.log(hi)
+    lo, hi = math.log(4.0 * geom.cell_radius**2), math.log(hi)
     while hi - lo > math.log(2.0) / 256:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if tail(math.exp(mid)) <= tol else (mid, hi)
     return math.exp(hi)
 
 
-def _tail(gram, q_mat, monomials, s_re, decay=0.0, r_min=0.0):
-    """R -> the closed-form bound on sum over Q(m) > R of f(m), Q(x) = x^T gram x.
+def _tail(geom, monomials, s_re, decay=0.0, r_min=0.0):
+    """R -> the closed-form bound on sum over Q(m) > R of f(m), Q the form of
+    the Geometry geom.
 
     f(m) = sum over (alpha, vec, scale) in monomials of scale |vec| |y^alpha|
-    Q(m)^{-s_re} e^{-decay Q(m)}, y being the ambient point with
-    y^T q_mat y = Q(m); the bound is infinite below r_min.
+    Q(m)^{-s_re} e^{-decay Q(m)}, y being the ambient point of m; the bound
+    is infinite below r_min.
     """
-    # |y|^2 <= Q / lambda_min(q_mat), so |y^alpha| <= (Q / lambda_min)^{|alpha|/2}
-    grow = 1.0 / math.sqrt(float(np.linalg.eigvalsh(q_mat)[0]))
+    # |y|^2 <= Q / lambda_min, so |y^alpha| <= (Q / lambda_min)^{|alpha|/2}
+    grow = 1.0 / math.sqrt(geom.lam_min)
     amps = [0.0] * (1 + max((sum(alpha) for alpha, _vec, _scale in monomials), default=0))
     for alpha, vec, scale in monomials:
         amps[sum(alpha)] += scale * float(np.max(np.abs(vec))) * grow ** sum(alpha)
-    sqrt_det, D = math.sqrt(np.linalg.det(gram)), cell_radius(gram)
     return lambda R: math.inf if R < r_min else power_tail(
-        R, rank=len(gram), sqrt_det=sqrt_det, cell_radius=D, s_re=s_re, amps=amps, decay=decay
+        R, rank=geom.rank, sqrt_det=geom.sqrt_det, cell_radius=geom.cell_radius, s_re=s_re, amps=amps, decay=decay
     )
 
 
@@ -186,6 +188,7 @@ def _paired_sum(frame, P, us, R, weight):
     and P is evaluated at -l.  The weights and P(+-y) are computed once per
     chunk; the characters per block of points u, chunk x block at most _CHUNK.
     """
+    geom = frame.geometry
     chars = [(frame.reduce_point(u), frame.phase_data(u)) for u in us]
     trivial = frame.on_zero_section(us).all()  # every character is 1
     constant = P.degree == 0
@@ -195,7 +198,9 @@ def _paired_sum(frame, P, us, R, weight):
     coords = not (trivial and constant)
     # a chunk's coordinates plus its monomial table hold at most _CHUNK entries
     chunk = max(1, _CHUNK // max(1, len(P.matrix) + (frame.rank if coords else 0)))
-    for ms, q in ellipsoid_chunks(frame.gram, R, half=True, coords=coords, chunk=chunk):
+    for ms, q in ellipsoid_chunks(geom, R, half=True, coords=coords, chunk=chunk):
+        if coords:  # P and the characters read the frame's coordinates
+            ms = geom.unreduce(ms)
         w = weight(q)
         if not constant:
             table = P.monomial_table(frame.points(ms))
@@ -235,38 +240,38 @@ def _characters(frame, ms, block):
     )
 
 
-def _dual_gram(frame, gf):
-    """G with Qdual(V x) = x^T G x, V the dual basis of frame."""
-    V = frame.dual_basis
-    return V.T @ gf.dual_form @ V
-
-
 def _dual_tail(frame, gf, scale, s_re, decay, r_min=0.0):
     """R -> the bound of _tail on the dual sum beyond Qdual(w) = R, each
     monomial of the power t^-m weighted by scale(m)."""
     monomials = [(alpha, vec, scale(m)) for m, part in gf.by_tpower.items() for alpha, vec in part.coeffs.items()]
-    return _tail(_dual_gram(frame, gf), gf.dual_form, monomials, s_re, decay=decay, r_min=r_min)
+    return _tail(frame.dual_geometry, monomials, s_re, decay=decay, r_min=r_min)
 
 
 def _dual_sum(frame, gf, us, R, radial, radial0, *, budget, what):
     """Row k: sum over Qdual(w) <= R of sum over m of radial(m, Qdual(w))
-    gf.by_tpower[m](w), at the dual points w = V (m - c_k) of u_k (see
-    SumLattice.dual_centers).
+    gf.by_tpower[m](w), at the dual points w of u_k (see
+    SumLattice.dual_centers); gf must be built on frame's q_mat and pairing.
 
     radial(m, qd) is the radial factor of the power t^-m at an array qd,
     and radial0(m) its closed form at qd = 0 (asked for only where the
-    constant monomial of t^-m is not 0).  For u_k on the zero section the
-    center is snapped to its integer point and the w = 0 term is that
-    constant times radial0(m); every other point keeps all its terms.  The
-    candidates m are enumerated once, about the origin within
-    R_c >= (sqrt(R) + max_k sqrt(Q(c_k)))^2, once that ellipsoid is known to
-    hold at most `budget` points; each block of centers keeps its own, and
+    constant monomial of t^-m is not 0).  The sum runs in the reduced
+    coordinates of frame.dual_geometry, w = V U^T (m' - c'_k), each center
+    c'_k reduced mod Z^r (Geometry.reduce).  For u_k on the zero section
+    the center is snapped to its integer point first, so it reduces to
+    exactly 0, and the w = 0 term is that constant times radial0(m); every
+    other point keeps all its terms.  The candidates m' are enumerated
+    once, about the mean c of the reduced centers within
+    R_c = (sqrt(R) + max_k sqrt(Q(c'_k - c)))^2, once that ellipsoid is
+    known to hold at most `budget` points (a single point enumerates its
+    own ellipsoid, R_c = R); each block of centers keeps its own, and
     block x candidates x monomials is at most _CHUNK.
     """
-    V, gram = frame.dual_basis, _dual_gram(frame, gf)
+    geom = frame.dual_geometry
     zero = frame.on_zero_section(us)
     centers = frame.dual_centers(us)
     centers[zero] = np.round(centers[zero])
+    centers = geom.reduce(centers)
+    mean = centers.mean(axis=0)
     n, dim = len(centers), gf.target_dim
     at_zero = 0.0
     if zero.any():
@@ -274,21 +279,24 @@ def _dual_sum(frame, gf, us, R, radial, radial0, *, budget, what):
             c0 = poly.value_at_zero()
             if np.any(c0 != 0):
                 at_zero = at_zero + c0 * radial0(m)
-    R_c = (math.sqrt(R) + math.sqrt(np.einsum("ij,jk,ik->i", centers, gram, centers).max())) ** 2
-    if R_c > R and R_c > ellipsoid_radius(gram, budget):
-        raise BudgetExceeded(f"{what}: candidates within {R_c:.6g} of the origin exceed {budget:.3g} points")
+    d = centers - mean
+    spread = math.sqrt(np.einsum("ij,jk,ik->i", d, geom.gram, d).max())
+    R_c = R + spread * (2.0 * math.sqrt(R) + spread)  # (sqrt(R) + spread)^2, exactly R for one point
+    if R_c > R and R_c > ellipsoid_radius(geom, budget):
+        raise BudgetExceeded(f"{what}: candidates within {R_c:.6g} of the centers' mean exceed {budget:.3g} points")
+    to_w = geom.U @ frame.dual_basis.T  # the row x' = m' - c' has w = x' U V^T
     per_point = max((len(part.matrix) for part in gf.by_tpower.values()), default=1)
     acc = CompensatedSum(n * dim)
     # a chunk's coordinates plus its monomial tables hold at most _CHUNK entries
-    for ms, _q in ellipsoid_chunks(gram, R_c, chunk=max(1, _CHUNK // (per_point + frame.rank))):
+    for ms, _q in ellipsoid_chunks(geom, R_c, center=mean, chunk=max(1, _CHUNK // (per_point + frame.rank))):
         parts = []
         for block in _blocks(centers, len(ms) * per_point):
-            x = ms[None, :, :] - block[:, None, :]  # m - c, block x candidates x rank
-            qd = np.einsum("bij,jk,bik->bi", x, gram, x)
-            keep = (qd > 0) & (qd <= R)  # w = 0 only where a snapped center meets its own m
+            x = ms[None, :, :] - block[:, None, :]  # m' - c', block x candidates x rank
+            qd = np.einsum("bij,jk,bik->bi", x, geom.gram, x)
+            keep = (qd > 0) & (qd <= R)  # w = 0 only where a snapped center meets its own m'
             rows = np.nonzero(keep)[0]  # the block row of each kept point, ascending
             present, starts = np.unique(rows, return_index=True)
-            ws, qd = x[keep] @ V.T, qd[keep]
+            ws, qd = x[keep] @ to_w, qd[keep]
             part = np.zeros((len(block), dim), dtype=complex)
             for m, poly in gf.by_tpower.items():
                 terms = np.add.reduceat(poly.monomial_table(ws) * radial(m, qd)[:, None], starts, axis=0)

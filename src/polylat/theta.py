@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BudgetExceeded
 from .lattice import SumLattice, ellipsoid_radius
 from .polygauss import gaussian_ft
-from .sums import _dual_gram, _dual_sum, _dual_tail, _paired_sum, _tail, solve_radius
+from .sums import _dual_sum, _dual_tail, _paired_sum, _tail, solve_radius
 
 POINT_BUDGET = 1e7  # points that either side of a theta sum or of poisson_check may visit
 
@@ -45,7 +45,7 @@ def theta_direct(frame, P, u, t, tol=1e-12, threads=None):
     if t <= 0 or tol <= 0:
         raise ValueError("t and tol must be positive")
     tail = _direct_tail(frame, P, t)
-    R = solve_radius(tail, tol, frame.gram, POINT_BUDGET, "direct theta")
+    R = solve_radius(tail, tol, frame.geometry, POINT_BUDGET, "direct theta")
     return ThetaResult(value=_direct_sum(frame, P, u, t, R), tail_bound=float(tail(R)), shells_used=1, mode="direct")
 
 
@@ -56,14 +56,14 @@ def theta_transformed(frame, P, u, t, tol=1e-12, threads=None):
     if t <= 0 or tol <= 0:
         raise ValueError("t and tol must be positive")
     gf, prefactor, tail = _transform(frame, P, t)
-    R = solve_radius(tail, tol, _dual_gram(frame, gf), POINT_BUDGET, "transformed theta")
+    R = solve_radius(tail, tol, frame.dual_geometry, POINT_BUDGET, "transformed theta")
     value = prefactor * _transformed_sum(frame, gf, u, t, R, "transformed theta")
     return ThetaResult(value=value, tail_bound=float(tail(R)), shells_used=1, mode="transformed")
 
 
 def _direct_tail(frame, P, t):
     """R -> the bound on sum over Q(l) > R of |P(l)| e^{-t Q(l)}."""
-    return _tail(frame.gram, frame.q_mat, [(alpha, vec, 1.0) for alpha, vec in P.coeffs.items()], 0.0, decay=t)
+    return _tail(frame.geometry, [(alpha, vec, 1.0) for alpha, vec in P.coeffs.items()], 0.0, decay=t)
 
 
 def _direct_sum(frame, P, u, t, R):
@@ -120,8 +120,8 @@ def poisson_check(data, P, t, h, r_direct, r_dual, tail_req=1e-12):
         raise BudgetExceeded(
             f"poisson_check: tails {tail_direct:.2e}/{tail_dual:.2e} above {tail_req}"
         )
-    for side, gram, R in (("direct", frame.gram, r_direct), ("dual", _dual_gram(frame, gf), r_dual)):
-        if R > ellipsoid_radius(gram, POINT_BUDGET):
+    for side, geom, R in (("direct", frame.geometry, r_direct), ("dual", frame.dual_geometry, r_dual)):
+        if R > ellipsoid_radius(geom, POINT_BUDGET):
             raise BudgetExceeded(f"poisson_check: the {side} radius {R:.6g} exceeds {POINT_BUDGET:.3g} points")
     lhs = _direct_sum(frame, P, h, t, r_direct)
     rhs = prefactor * _transformed_sum(frame, gf, h, t, r_dual, "poisson_check (dual side)")

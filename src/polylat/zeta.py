@@ -25,9 +25,9 @@ from .errors import (
     ZeroSectionSingularity,
 )
 from .incgamma import rgamma, upper_gamma
-from .lattice import cell_radius, ellipsoid_chunks, ellipsoid_radius
+from .lattice import Geometry, ellipsoid_chunks, ellipsoid_radius
 from .polygauss import gaussian_ft
-from .sums import _dual_gram, _dual_sum, _dual_tail, _paired_sum, _tail, solve_radius
+from .sums import _dual_sum, _dual_tail, _paired_sum, _tail, solve_radius
 
 POINT_BUDGET = 2e9  # points a direct sum may visit; the rank-2 s = 2 regime check needs ~1.2e9
 # points an accelerated piece may visit: each is one entry of an array upper_gamma per
@@ -55,7 +55,7 @@ def converges_directly(P, s, rank):
 
 def _direct_tail(frame, P, s_re):
     """R -> the closed-form bound on sum over Q(l) > R of |P(l)| Q(l)^{-s_re}."""
-    return _tail(frame.gram, frame.q_mat, [(alpha, vec, 1.0) for alpha, vec in P.coeffs.items()], s_re)
+    return _tail(frame.geometry, [(alpha, vec, 1.0) for alpha, vec in P.coeffs.items()], s_re)
 
 
 def kzeta_direct(frame, P, u, s, tol=1e-10):
@@ -70,7 +70,7 @@ def kzeta_direct(frame, P, u, s, tol=1e-10):
             f"need 2 Re(s) - deg P > {frame.rank}, got s={s}, deg={P.degree}"
         )
     tail = _direct_tail(frame, P, s.real)
-    R = solve_radius(tail, tol, frame.gram, POINT_BUDGET, "direct zeta")
+    R = solve_radius(tail, tol, frame.geometry, POINT_BUDGET, "direct zeta")
     value = _paired_sum(frame, P, [u], R, lambda q: q ** -s.real if s.imag == 0 else np.exp(-s * np.log(q)))[0]
     return ZetaValue(value=value, s=s, regime="direct", error_bound=float(tail(R)))
 
@@ -138,7 +138,7 @@ def _gamma_k(frame, P, us, s, A, piece_tol):
     # the direct radius needs only P: an exceeded budget is found before
     # the Gaussian transform is built
     tail_i = _gamma_direct_tail(frame, P, s, A)
-    R_i = solve_radius(tail_i, piece_tol, frame.gram, GAMMA_POINT_BUDGET, "accelerated zeta (direct piece)")
+    R_i = solve_radius(tail_i, piece_tol, frame.geometry, GAMMA_POINT_BUDGET, "accelerated zeta (direct piece)")
 
     # the transformed polynomial does not depend on the shift h
     gf = gaussian_ft(P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
@@ -151,7 +151,7 @@ def _gamma_k(frame, P, us, s, A, piece_tol):
         return A**denom / denom
 
     tail_ii = _gamma_dual_tail(frame, gf, rhos, A)
-    R_ii = solve_radius(tail_ii, piece_tol, _dual_gram(frame, gf), GAMMA_POINT_BUDGET, "accelerated zeta (dual piece)")
+    R_ii = solve_radius(tail_ii, piece_tol, frame.dual_geometry, GAMMA_POINT_BUDGET, "accelerated zeta (dual piece)")
 
     def mellin(m, qd):
         # int_0^A t^(s - r/2 - m - 1) e^(-pi^2 qd / t) dt = Gamma(rho, pi^2 qd / A) / (pi^2 qd)^rho
@@ -179,7 +179,7 @@ def _gamma_direct_tail(frame, P, s, A):
     # |Gamma(s, x)| <= c x^{Re s - 1} e^{-x} (upper_gamma_bound) once x >= 2 (Re s - 1)
     scale = (1.0 if s.real <= 1 else 2.0) * _power(A, s.real - 1.0)
     return _tail(
-        frame.gram, frame.q_mat, [(alpha, vec, scale) for alpha, vec in P.coeffs.items()], 1.0,
+        frame.geometry, [(alpha, vec, scale) for alpha, vec in P.coeffs.items()], 1.0,
         decay=A, r_min=2.0 * (s.real - 1.0) / A,
     )
 
@@ -213,7 +213,7 @@ def kzeta(frame, P, u, s, mode="auto", split_a=1.0, tol=1e-10):
     """
     if mode == "auto":
         cheap = converges_directly(P, s, frame.rank) and (
-            _direct_tail(frame, P, complex(s).real)(ellipsoid_radius(frame.gram, AUTO_DIRECT_POINTS)) <= tol
+            _direct_tail(frame, P, complex(s).real)(ellipsoid_radius(frame.geometry, AUTO_DIRECT_POINTS)) <= tol
         )
         mode = "direct" if cheap else "accel"
     if mode == "direct":
@@ -228,11 +228,11 @@ def torus_distance(frame, u):
     |w| over the dual points w = V (m - c) of u, 0 on the zero section."""
     if frame.on_zero_section([u])[0]:
         return 0.0
-    V, c = frame.dual_basis, frame.dual_centers([u])[0]
-    gram = V.T @ V
-    # round(c) is within cell_radius of c, so that ellipsoid holds the nearest m
-    ms = np.vstack([ms for ms, _q in ellipsoid_chunks(gram, cell_radius(gram) ** 2, center=c)])
-    return float(np.min(np.linalg.norm((ms - c) @ V.T, axis=1)))
+    V, geom = frame.dual_basis, Geometry(frame.dual_basis.T @ frame.dual_basis)
+    c = geom.reduce(frame.dual_centers([u]))[0]
+    # the cell around 0 holds c, so that ellipsoid holds the nearest m'
+    ms = np.vstack([ms for ms, _q in ellipsoid_chunks(geom, geom.cell_radius**2, center=c)])
+    return float(np.min(np.linalg.norm((ms - c) @ (geom.U @ V.T), axis=1)))
 
 
 def smoothness_scan(frame, P, s, grid, fd_step=0.01, tol=1e-11):

@@ -14,7 +14,7 @@ from polylat import (
     hodge_split,
     q_form,
 )
-from polylat.lattice import cell_radius, ellipsoid_chunks, ellipsoid_radius
+from polylat.lattice import Geometry, cell_radius, ellipsoid_chunks, ellipsoid_radius
 from polylat.errors import (
     ConventionViolation,
     NotInDualLattice,
@@ -138,16 +138,18 @@ def test_enumerate_shell_complete_bruteforce():
         assert len(expect) > 20
         assert {tuple(v) for v in got.tolist()} == {tuple(v) for v in expect.tolist()}
         assert got.tolist() == expect.tolist()
-        # centred: the m with Q(m - c) <= R, as the shifted dual sums use them
+        # centred: the m with Q(m - c) <= R, as the shifted dual sums use
+        # them, enumerated in the reduced coordinates m' = U^-T m of the frame
+        geom = frame.geometry
         c = np.linspace(-0.7, 0.45, frame.rank)
-        pieces = list(ellipsoid_chunks(frame.gram, R, center=c, chunk=7))
-        ms = np.vstack([ms for ms, _q in pieces])
+        pieces = list(ellipsoid_chunks(geom, R, center=c @ geom.U_inv, chunk=7))
+        ms = geom.unreduce(np.vstack([ms for ms, _q in pieces]))
         q = np.concatenate([q for _ms, q in pieces])
         assert np.allclose(q, frame.q_values(ms - c), rtol=1e-12)
         box = np.array(list(itertools.product(*(range(math.floor(x - b), math.ceil(x + b) + 1) for x, b in zip(c, reach)))))
         expect = box[frame.q_values(box - c) <= R]
         assert len(expect) > 20
-        assert ms[q <= R].tolist() == expect.tolist()
+        assert sorted(ms[q <= R].tolist()) == expect.tolist()
 
 
 @pytest.mark.parametrize(
@@ -159,32 +161,71 @@ def test_enumerate_shell_complete_bruteforce():
     ],
 )
 def test_ellipsoid_chunks_half_lattice_and_chunking(gram, R):
-    full = np.vstack([ms for ms, _q in ellipsoid_chunks(gram, R)])
-    pieces = list(ellipsoid_chunks(gram, R, half=True, chunk=5))
+    geom = Geometry(gram)
+    full = np.vstack([ms for ms, _q in ellipsoid_chunks(geom, R)])
+    pieces = list(ellipsoid_chunks(geom, R, half=True, chunk=5))
     assert all(len(q) <= 5 and len(ms) == len(q) for ms, q in pieces)
     half = np.vstack([ms for ms, _q in pieces])
     q = np.concatenate([q for _ms, q in pieces])
-    assert np.allclose(q, np.einsum("ij,jk,ik->i", half, gram, half), rtol=1e-12)
+    assert np.allclose(q, np.einsum("ij,jk,ik->i", half, geom.gram, half), rtol=1e-12)
     # one of each pair +-m, never the origin, in lexicographic order
     assert half.tolist() == sorted(half.tolist())
     pairs = {tuple(v) for v in half.tolist()} | {tuple(v) for v in (-half).tolist()}
     assert len(pairs) == 2 * len(half)
     assert pairs == {tuple(v) for v in full.tolist() if any(v)}
-    assert [None] * len(pieces) == [ms for ms, _q in ellipsoid_chunks(gram, R, half=True, coords=False, chunk=5)]
+    assert [None] * len(pieces) == [ms for ms, _q in ellipsoid_chunks(geom, R, half=True, coords=False, chunk=5)]
 
 
 def test_ellipsoid_radius_covers_count():
     shear = np.array([[1.0, 0.9, 0.8, 0.7], [0.0, 1.0, -0.9, 0.8], [0.0, 0.0, 0.4, 0.9], [0.0, 0.0, 0.0, 0.5]])
     for gram in (np.eye(2), np.array([[2.0, 1.9], [1.9, 2.0]]), np.diag([1.0, 4.0, 9.0, 0.5]), np.array([[3.0]]), shear.T @ shear):
+        geom = Geometry(gram)
         for points in (5, 100, 5000):
-            R = ellipsoid_radius(gram, points)
-            count = sum(int(np.sum(q <= R)) for _ms, q in ellipsoid_chunks(gram, R))
+            R = ellipsoid_radius(geom, points)
+            count = sum(int(np.sum(q <= R)) for _ms, q in ellipsoid_chunks(geom, R))
             assert count <= points
             center = np.linspace(0.5, -0.3, len(gram))
-            count = sum(int(np.sum(q <= R)) for _ms, q in ellipsoid_chunks(gram, R, center=center))
+            count = sum(int(np.sum(q <= R)) for _ms, q in ellipsoid_chunks(geom, R, center=center))
             assert count <= points
-    assert ellipsoid_radius(np.eye(2), 1) == 0.0
+    assert ellipsoid_radius(Geometry(np.eye(2)), 1) == 0.0
     assert cell_radius(np.eye(2)) == pytest.approx(math.sqrt(0.5))
+
+
+def test_lll_reduces_skewed_rank4_frame():
+    # the square of tau = 1/2 + i/20, on both sides: D = 8.41 on the direct
+    # Gram and 2.68 on the dual one until the bases are reduced
+    curve = PolarizedAbelianData.from_tau(Fraction(1, 2), Fraction(1, 20))
+    data = PolarizedAbelianData.product(curve, curve)
+    u = [Fraction(1, 3), Fraction(1, 6), Fraction(2, 3), Fraction(1, 2)]
+    for side in ("primal", "dual"):
+        frame = SumLattice.from_abelian(data, side)
+        V = frame.dual_basis
+        for geom, gram, before, after in (
+            (frame.geometry, frame.gram, 8.41, 3.0),
+            (frame.dual_geometry, V.T @ frame.dual_form @ V, 2.68, 1.0),
+        ):
+            assert geom.U.dtype == np.int64 and round(abs(np.linalg.det(geom.U))) == 1
+            assert np.array_equal(geom.U @ geom.U_inv, np.eye(4, dtype=np.int64))
+            assert np.allclose(geom.gram, geom.U @ gram @ geom.U.T, rtol=1e-13)
+            assert cell_radius(gram) == pytest.approx(before, abs=5e-3)
+            assert geom.cell_radius <= after
+        # the reduced character matrix stays integral, and the exact
+        # characters of the reduced points are those of their frame points
+        geom = frame.geometry
+        reduced_chars = geom.U @ frame.char_mat
+        assert np.array_equal(reduced_chars, np.round(reduced_chars))
+        R = 12.0
+        ms = np.vstack([ms for ms, _q in ellipsoid_chunks(geom, R)])
+        v, den = frame.phase_data(u)
+        v_reduced = reduced_chars.astype(np.int64) @ np.array([int(x * den) for x in u], dtype=np.int64)
+        assert np.array_equal((ms @ v_reduced) % den, (geom.unreduce(ms) @ v) % den)
+        # through the reduced geometry, the same points as a brute-force box
+        reach = np.ceil(np.sqrt(R * np.diag(np.linalg.inv(frame.gram)))).astype(int)
+        box = np.array(list(itertools.product(*(range(-b, b + 1) for b in reach))))
+        q = frame.q_values(box)
+        expect = box[(q > 0) & (q <= R)]
+        assert len(expect) > 20
+        assert enumerate_shell(frame, R).tolist() == expect.tolist()
 
 
 def test_enumerate_shell_cap(tau_i):

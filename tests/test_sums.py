@@ -9,11 +9,11 @@ import pytest
 from polylat import PolarizedAbelianData, SumLattice
 from polylat.errors import BudgetExceeded
 from polylat.incgamma import upper_gamma
-from polylat.lattice import cell_radius, ellipsoid_chunks, ellipsoid_radius
+from polylat.lattice import ellipsoid_chunks, ellipsoid_radius
 from polylat.polygauss import VectorPolynomial, gaussian_ft
 from polylat.sums import power_tail
 from polylat.theta import theta_direct, theta_transformed
-from polylat import sums, zeta
+from polylat import lattice, sums, theta, zeta
 from polylat.zeta import kzeta_accelerated, kzeta_direct
 
 
@@ -71,12 +71,60 @@ def test_direct_zeta_fails_fast_off_lattice(monkeypatch):
 
 def test_dual_candidates_fail_fast(monkeypatch):
     # with the dual radius at the edge of the budget, the candidates about
-    # the origin that cover a shifted center need more points: found
-    # before anything is enumerated
+    # the mean of two far-apart centers, which must cover both ellipsoids,
+    # need more points: found before anything is enumerated
     monkeypatch.setattr(sums, "ellipsoid_chunks", _no_enumeration)
-    monkeypatch.setattr(zeta, "solve_radius", lambda tail, tol, gram, points, what: ellipsoid_radius(gram, points))
+    monkeypatch.setattr(zeta, "solve_radius", lambda tail, tol, geom, points, what: ellipsoid_radius(geom, points))
     with pytest.raises(BudgetExceeded, match=re.escape("accelerated zeta (dual piece): candidates within ")):
-        kzeta_accelerated(_tau_i(), _P, _U, 3.0)
+        zeta._accelerated(_tau_i(), _P, [[0.0, 0.0], [0.5, 0.5]], 3.0, 1.0, 1e-10)
+
+
+def test_single_point_enumerates_its_own_ellipsoid(monkeypatch):
+    # a batch of one is enumerated about its reduced center within R itself
+    asked, real = [], sums.ellipsoid_chunks
+
+    def chunks(geom, R, **kwargs):
+        asked.append((geom, R, kwargs.get("center")))
+        return real(geom, R, **kwargs)
+
+    monkeypatch.setattr(sums, "ellipsoid_chunks", chunks)
+    frame = _tau_i()
+    gf = gaussian_ft(_P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
+    sums._dual_sum(frame, gf, [_U], 20.0, lambda m, qd: np.exp(-qd), lambda m: 1.0, budget=1e7, what="test")
+    (geom, R, center), = asked
+    assert geom is frame.dual_geometry and R == 20.0
+    assert np.array_equal(center, geom.reduce(frame.dual_centers([_U]))[0])
+    assert np.all(np.abs(center) <= 0.5)
+
+
+def test_frame_factors_computed_once(monkeypatch):
+    # once a frame exists, theta on both sides and accelerated zeta read the
+    # Gram factors from frame.geometry and frame.dual_geometry: no
+    # cell_radius call, and no Cholesky factor, determinant or eigenvalues
+    # of a Gram matrix of either side, original or reduced
+    frame = SumLattice.from_abelian(PolarizedAbelianData.from_tau(*_TAIL_FRAMES[1]), "dual")
+    V = frame.dual_basis
+    grams = [frame.gram, V.T @ frame.dual_form @ V, frame.geometry.gram, frame.dual_geometry.gram]
+    grams += [g[::-1, ::-1] for g in grams]
+    assert not any(np.allclose(g, frame.q_mat) for g in grams)  # the transform factors q_mat itself
+    calls = []
+
+    def counted(name, fn):
+        def call(a, *args, **kwargs):
+            if any(np.shape(a) == g.shape and np.allclose(a, g) for g in grams):
+                calls.append(name)
+            return fn(a, *args, **kwargs)
+        return call
+
+    for mod in (lattice, sums, theta, zeta):
+        monkeypatch.setattr(mod, "cell_radius", counted("cell_radius", lattice.cell_radius), raising=False)
+    for name in ("cholesky", "det", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    P = VectorPolynomial(2, {(2, 0): [1.0], (1, 1): [0.5j]})
+    theta_direct(frame, P, _U, 0.8)
+    theta_transformed(frame, P, _U, 0.8)
+    kzeta_accelerated(frame, P, _U, 2.5)
+    assert calls == []
 
 
 def test_chunk_bounds_coordinates_plus_table(monkeypatch):
@@ -116,11 +164,11 @@ def test_chunk_bounds_coordinates_plus_table(monkeypatch):
 _TAIL_FRAMES = [(0, 1), (Fraction(1, 2), Fraction(1, 5))]  # tau = i and tau = 1/2 + i/5
 
 
-def _radii(gram, big, q):
+def _radii(geom, big, q):
     # from just above 4 D^2, where the integral comparison starts to apply,
     # and just below the first values of Q beyond it, where the remainder
     # is largest against the bound
-    D = cell_radius(gram)
+    D = geom.cell_radius
     steps = [(2 * D + step) ** 2 for step in (0.01, 0.1, 0.3, 0.6, 1.0, 1.5, 2.5, 4.0)]
     shells = np.unique(q[q > 4 * D * D])[:8] * (1 - 1e-9)
     return [R for R in sorted(steps + list(shells)) if R < big / 4]
@@ -141,14 +189,15 @@ def _radii(gram, big, q):
 def test_power_tail_covers_exact_remainder(tau, s_re, amps, decay, center):
     # the sum beyond R over the points enumerated to a much larger radius
     # is a lower bound of the true remainder, so power_tail must cover it
-    gram = SumLattice.from_abelian(PolarizedAbelianData.from_tau(*tau), "dual").gram
+    geom = SumLattice.from_abelian(PolarizedAbelianData.from_tau(*tau), "dual").geometry
     big = 400.0 if decay == 0 else 200.0 / decay
-    q = np.concatenate([qc for _ms, qc in ellipsoid_chunks(gram, big, center=center)])
+    q = np.concatenate([qc for _ms, qc in ellipsoid_chunks(geom, big, center=center)])
     q = q[q > 1e-12]
     f = sum(amp * q ** (k / 2 - s_re) for k, amp in enumerate(amps)) * np.exp(-decay * q)
-    sqrt_det = math.sqrt(np.linalg.det(gram))
-    for R in _radii(gram, big, q):
-        bound = power_tail(R, rank=2, sqrt_det=sqrt_det, cell_radius=cell_radius(gram), s_re=s_re, amps=amps, decay=decay)
+    for R in _radii(geom, big, q):
+        bound = power_tail(
+            R, rank=2, sqrt_det=geom.sqrt_det, cell_radius=geom.cell_radius, s_re=s_re, amps=amps, decay=decay
+        )
         assert f[q > R].sum() <= bound, (R, f[q > R].sum(), bound)
 
 
@@ -162,15 +211,14 @@ def test_gamma_dual_tail_covers_exact_remainder(tau, s, A, u):
     P = VectorPolynomial(2, {(2, 0): [1.0], (1, 1): [0.5j]})
     gf = gaussian_ft(P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
     rhos = {m: 1.0 + m - s for m in gf.by_tpower}
-    V = frame.dual_basis
-    gram = V.T @ gf.dual_form @ V
+    V, geom = frame.dual_basis, frame.dual_geometry
     tail = zeta._gamma_dual_tail(frame, gf, rhos, A)
     h = frame.reduce_point(u)
     big = 60.0 * A
-    chunks = list(ellipsoid_chunks(gram, big, center=-np.linalg.solve(V, h)))
+    chunks = list(ellipsoid_chunks(geom, big, center=-np.linalg.solve(V, h) @ geom.U_inv))
     ms, q = np.vstack([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks])
     ms, q = ms[q > 1e-12], q[q > 1e-12]
-    ws = ms @ V.T + h
+    ws = geom.unreduce(ms) @ V.T + h
     f = np.zeros(len(q))
     for m, part in gf.by_tpower.items():
         rho = rhos[m]
@@ -178,7 +226,7 @@ def test_gamma_dual_tail_covers_exact_remainder(tau, s, A, u):
         for alpha, vec in part.coeffs.items():
             f += g * np.abs(np.prod(ws ** np.array(alpha), axis=1)) * np.max(np.abs(vec))
     checked = 0
-    for R in _radii(gram, big, q):
+    for R in _radii(geom, big, q):
         bound = tail(R)
         if math.isfinite(bound):
             checked += 1

@@ -2,6 +2,7 @@ from fractions import Fraction
 import itertools
 import math
 import random
+import time
 
 import mpmath as mp
 import numpy as np
@@ -132,13 +133,20 @@ def test_direct_certificate_is_honest(rank, scaled, offset):
                 assert vd.error_bound >= np.max(np.abs(vd.value - ref)) - 1e-13, (P.degree, u, s, tol)
 
 
-@pytest.mark.parametrize("rank, skewed", [(2, False), (4, False), (2, True)])
+_SHEARS = {
+    2: np.array([[1.0, 0.9], [0.0, 0.3]]),
+    # the sheared rank-4 frame of test_enumerate_shell_complete_bruteforce
+    4: np.array([[1.0, 0.9, 0.8, 0.7], [0.0, 1.0, -0.9, 0.8], [0.0, 0.0, 0.4, 0.9], [0.0, 0.0, 0.0, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("rank, skewed", [(2, False), (4, False), (2, True), (4, True)])
 def test_accelerated_certificate_is_honest(rank, skewed):
     # both pieces' closed-form tails must cover what a loose radius leaves out
     rng = random.Random(200 + rank)
+    start = time.perf_counter()
     if skewed:
-        shear = np.array([[1.0, 0.9], [0.0, 0.3]])
-        frame = SumLattice.euclidean(rank, shear.T @ shear)
+        frame = SumLattice.euclidean(rank, _SHEARS[rank].T @ _SHEARS[rank])
     else:
         frame = SumLattice.from_abelian(random_abelian_data(rng, rank), "dual")
     quad = {(2,) + (0,) * (rank - 1): [1.0], (1, 1) + (0,) * (rank - 2): [0.5j]}
@@ -151,6 +159,8 @@ def test_accelerated_certificate_is_honest(rank, skewed):
                     va = kzeta_accelerated(frame, P, u, s, split_a=A, tol=tol)
                     gap = np.max(np.abs(va.value - ref))
                     assert va.error_bound >= gap - 1e-13, (P.degree, u, s, A, tol)
+    # the skewed rank-4 frame took 121 s before its Gram matrices were reduced
+    assert time.perf_counter() - start < 5.0
 
 
 def test_character_shift_invariance(tau_i_frame):
