@@ -3,12 +3,13 @@
 The exact polarized data (J, E), its dual lattice and the pairing
 conventions live in `polarized`, which needs no numpy; they are
 re-exported here.  This module is where floats enter: summation frames,
-the reduced geometry of their Gram matrices and the Fincke-Pohst
-ellipsoid enumeration.
+the factors of their Gram matrices and the Fincke-Pohst ellipsoid
+enumeration.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 import math
 
 import numpy as np
@@ -77,8 +78,8 @@ class SumLattice:
     Q(x) = x^T M x, ambient pairing B for characters, the pairing-dual
     lattice basis, and the volume normalization that makes this frame's
     covolume equal 1 (the Poisson identity is exact in that volume).
-    `geometry` and `dual_geometry` hold the reduced Gram factors of the
-    direct sums and of the dual sums, computed once per frame.
+    `geometry` and `dual_geometry` hold the Gram factors of the direct
+    sums and of the dual sums, computed once per frame.
     """
 
     def __init__(self, basis, q_mat, pairing, dual_basis, label, data=None):
@@ -181,6 +182,11 @@ class SumLattice:
         hs = np.array([self.reduce_point(u) for u in us])
         return -np.linalg.solve(self.dual_basis, hs.T).T
 
+    @cached_property
+    def torus_geometry(self):
+        """The Geometry of V^T V, V the dual basis: |V x|^2 = x^T V^T V x."""
+        return Geometry(self.dual_basis.T @ self.dual_basis)
+
     def on_zero_section(self, us):
         """Row k: True when every character chi_l(us[k]) is 1, that is when
         the dual center c_k is integral within SNAP_TOL per coordinate (u in
@@ -216,79 +222,22 @@ def shell_point_count(rank, k):
     return (2 * k + 1) ** rank - (2 * k - 1) ** rank
 
 
-def lll_transform(gram):
-    """(U, U^-1), U integral with |det U| = 1 and U G U^T LLL-reduced (delta = 3/4).
-
-    The Lenstra-Lenstra-Lovasz reduction (Math. Ann. 261, 1982) of the
-    basis with Gram matrix G, run on the Gram matrix as in Cohen, A Course
-    in Computational Algebraic Number Theory, Alg. 2.6.3.  Its comparisons
-    read floats, but each step applies an integral unimodular row operation to
-    U (and its inverse to U^-1) and each swap recomputes the Gram-Schmidt
-    data of U G U^T from U, so U and U^-1 are exact whatever the rounding.
-    """
-    r = len(gram)
-    U, U_inv = np.eye(r, dtype=np.int64), np.eye(r, dtype=np.int64)
-    k, mu = 1, None
-    while k < r:
-        if mu is None:  # size reduction changes only row k of mu, a swap all of it
-            L = np.linalg.cholesky(U @ gram @ U.T)
-            norms = (np.diag(L) ** 2).tolist()  # |b*_j|^2
-            mu = (L / np.diag(L)).tolist()  # the Gram-Schmidt coefficients
-        row = mu[k]
-        for j in range(k - 1, -1, -1):  # size-reduce b_k
-            q = round(row[j])
-            if q:
-                U[k] -= q * U[j]
-                U_inv[:, j] += q * U_inv[:, k]
-                for i in range(j + 1):
-                    row[i] -= q * mu[j][i]
-        if norms[k] < (0.75 - row[k - 1] ** 2) * norms[k - 1]:  # the Lovasz condition fails
-            U[[k - 1, k]] = U[[k, k - 1]]
-            U_inv[:, [k - 1, k]] = U_inv[:, [k, k - 1]]
-            k, mu = max(k - 1, 1), None
-        else:
-            k += 1
-    return U, U_inv
-
-
 class Geometry:
     """The constants of one positive definite Gram matrix G, computed once.
 
-    Sums enumerate the integer m' of an LLL-reduced basis: U is integral
-    with |det U| = 1, `gram` = U G U^T, and m = U^T m' (as rows, m' U) are
-    the coordinates of G.  Where the reduction would not shrink D, U is
-    the identity (`identity`) and G keeps its coordinates.  `upper` is the
-    upper triangular factor of `gram` = upper upper^T, `cell_radius` the D
-    of `gram`, `sqrt_det` = sqrt(det G) (det U = +-1) and `lam_min` the
-    least eigenvalue of the ambient form, the one with y^T form y = Q(m) at
-    the point y of m (G itself by default): |y|^2 <= Q(m) / lam_min.
+    `upper` is the upper triangular factor of G = upper upper^T, `sqrt_det`
+    = sqrt(det G), `cell_radius` the D of G (see cell_radius) and `lam_min`
+    the least eigenvalue of the ambient form, the one with y^T form y = Q(m)
+    at the point y of m (G itself by default): |y|^2 <= Q(m) / lam_min.
     """
 
     def __init__(self, gram, form=None):
-        gram = np.asarray(gram, dtype=float)
-        self.rank = len(gram)
-        U, U_inv = lll_transform(gram)
-        reduced = U @ gram @ U.T
-        D, D_gram = cell_radius(reduced), cell_radius(gram)
-        self.identity = not D < (1 - 1e-9) * D_gram  # a permutation may move D by rounding
-        if self.identity:
-            U = U_inv = np.eye(self.rank, dtype=np.int64)
-            reduced, D = gram, D_gram
-        self.U, self.U_inv, self.gram, self.cell_radius = U, U_inv, reduced, D
-        self.upper = np.linalg.cholesky(reduced[::-1, ::-1])[::-1, ::-1]
-        self.sqrt_det = math.sqrt(np.linalg.det(gram))
-        self.lam_min = float(np.linalg.eigvalsh(gram if form is None else form)[0])
-
-    def reduce(self, centers):
-        """The rows c' = U^-T c - round(U^-T c): the centers in reduced
-        coordinates, moved by integral vectors (which leaves every sum over
-        m' - c' unchanged) to sqrt(Q(c')) <= D; 0 for integral c."""
-        c = np.asarray(centers, dtype=float) @ self.U_inv
-        return c - np.round(c)
-
-    def unreduce(self, ms):
-        """The coordinates m = U^T m' of G for the rows m' of ms."""
-        return ms if self.identity else ms @ self.U
+        self.gram = np.asarray(gram, dtype=float)
+        self.rank = len(self.gram)
+        self.upper = np.linalg.cholesky(self.gram[::-1, ::-1])[::-1, ::-1]
+        self.sqrt_det = math.sqrt(np.linalg.det(self.gram))
+        self.cell_radius = cell_radius(self.gram)
+        self.lam_min = float(np.linalg.eigvalsh(self.gram if form is None else form)[0])
 
 
 def ellipsoid_radius(geom, points):
@@ -307,25 +256,23 @@ def ellipsoid_radius(geom, points):
 def cell_radius(gram):
     """max sqrt(Q) over the corners of the cell [-1/2, 1/2]^r: every point of
     the cell around m lies within it of m in the norm sqrt(Q)."""
-    corners = np.indices((2,) * len(gram)).reshape(len(gram), -1).T - 0.5
+    corners = np.array(list(np.ndindex(*(2,) * len(gram)))) - 0.5
     return float(np.sqrt(np.max(np.einsum("ij,jk,ik->i", corners, gram, corners))))
 
 
 def ellipsoid_chunks(geom, R, *, center=None, half=False, coords=True, chunk=1 << 16):
-    """Fincke-Pohst enumeration of the integer m' with Q(m' - c) <= R, in the
-    reduced coordinates of `geom` (a Geometry): Q(x) = x^T geom.gram x.
+    """Fincke-Pohst enumeration of the integer m with Q(m - c) <= R, Q(x) = x^T G x,
+    G the Gram matrix of `geom` (a Geometry).
 
-    c is `center` (default the origin), in the same coordinates.  Yields
-    (ms, q) in lexicographic order of m', at most `chunk` points at a time:
-    the integer rows (None if not coords, to save their cost) and their
-    values Q(m' - c).  Every point with Q(m' - c) <= R is emitted (bounds
-    carry a 1e-9 relative margin for rounding), perhaps with a few just
-    outside.  With half=True (and no center) the first nonzero coordinate
-    is > 0: one point of each pair +-m', never the origin.  geom.unreduce
-    maps the rows back to the coordinates of the Gram matrix geom was
-    built from.
+    c is `center` (default the origin).  Yields (ms, q) in lexicographic
+    order of m, at most `chunk` points at a time: the integer rows (None if
+    not coords, to save their cost) and their values Q(m - c).  Every point
+    with Q(m - c) <= R is emitted (bounds carry a 1e-9 relative margin for
+    rounding), perhaps with a few just outside.  With half=True (and no
+    center) the first nonzero coordinate is > 0: one point of each pair
+    +-m, never the origin.
 
-    With geom.gram = T T^T, T = geom.upper, Q(x) = sum_i (sum_{j<=i} T_ji x_j)^2
+    With G = U U^T, U = geom.upper, Q(x) = sum_i (sum_{j<=i} U_ji x_j)^2
     and the i-th term depends on x_0..x_i only, so each prefix m_0..m_{i-1}
     confines m_i to an interval; every level is streamed in pieces of at
     most `chunk` points.
@@ -387,7 +334,6 @@ def enumerate_shell(data_or_frame, R, side="primal", cap=2_000_000):
     geom = frame.geometry
     if R > ellipsoid_radius(geom, cap):
         raise ShellTooLarge(f"R = {R:.6g} is beyond the radius whose ellipsoid certainly holds {cap} points")
-    ms = geom.unreduce(np.vstack([ms for ms, _q in ellipsoid_chunks(geom, R)]))  # the origin at least
-    ms = ms[np.lexsort(ms.T[::-1])]
+    ms = np.vstack([ms for ms, _q in ellipsoid_chunks(geom, R)])  # the origin at least
     q = frame.q_values(ms)
     return ms[(q > 0) & (q <= R * (1 + 1e-12))]

@@ -188,7 +188,6 @@ def _paired_sum(frame, P, us, R, weight):
     and P is evaluated at -l.  The weights and P(+-y) are computed once per
     chunk; the characters per block of points u, chunk x block at most _CHUNK.
     """
-    geom = frame.geometry
     chars = [(frame.reduce_point(u), frame.phase_data(u)) for u in us]
     trivial = frame.on_zero_section(us).all()  # every character is 1
     constant = P.degree == 0
@@ -198,9 +197,7 @@ def _paired_sum(frame, P, us, R, weight):
     coords = not (trivial and constant)
     # a chunk's coordinates plus its monomial table hold at most _CHUNK entries
     chunk = max(1, _CHUNK // max(1, len(P.matrix) + (frame.rank if coords else 0)))
-    for ms, q in ellipsoid_chunks(geom, R, half=True, coords=coords, chunk=chunk):
-        if coords:  # P and the characters read the frame's coordinates
-            ms = geom.unreduce(ms)
+    for ms, q in ellipsoid_chunks(frame.geometry, R, half=True, coords=coords, chunk=chunk):
         w = weight(q)
         if not constant:
             table = P.monomial_table(frame.points(ms))
@@ -254,23 +251,23 @@ def _dual_sum(frame, gf, us, R, radial, radial0, *, budget, what):
 
     radial(m, qd) is the radial factor of the power t^-m at an array qd,
     and radial0(m) its closed form at qd = 0 (asked for only where the
-    constant monomial of t^-m is not 0).  The sum runs in the reduced
-    coordinates of frame.dual_geometry, w = V U^T (m' - c'_k), each center
-    c'_k reduced mod Z^r (Geometry.reduce).  For u_k on the zero section
-    the center is snapped to its integer point first, so it reduces to
-    exactly 0, and the w = 0 term is that constant times radial0(m); every
-    other point keeps all its terms.  The candidates m' are enumerated
-    once, about the mean c of the reduced centers within
-    R_c = (sqrt(R) + max_k sqrt(Q(c'_k - c)))^2, once that ellipsoid is
-    known to hold at most `budget` points (a single point enumerates its
-    own ellipsoid, R_c = R); each block of centers keeps its own, and
-    block x candidates x monomials is at most _CHUNK.
+    constant monomial of t^-m is not 0).  Each center is reduced mod Z^r,
+    c_k - round(c_k), which leaves its dual points unchanged.  For u_k on
+    the zero section the center is snapped to its integer point first, so
+    it reduces to exactly 0, and the w = 0 term is that constant times
+    radial0(m); every other point keeps all its terms.  The candidates m
+    are enumerated once, about the mean c of the reduced centers within
+    R_c = (sqrt(R) + max_k sqrt(Q(c_k - c)))^2, Q the form of
+    frame.dual_geometry, once that ellipsoid is known to hold at most
+    `budget` points (a single point enumerates its own ellipsoid, R_c = R);
+    each block of centers keeps its own, and block x candidates x
+    monomials is at most _CHUNK.
     """
-    geom = frame.dual_geometry
+    V, geom = frame.dual_basis, frame.dual_geometry
     zero = frame.on_zero_section(us)
     centers = frame.dual_centers(us)
     centers[zero] = np.round(centers[zero])
-    centers = geom.reduce(centers)
+    centers -= np.round(centers)
     mean = centers.mean(axis=0)
     n, dim = len(centers), gf.target_dim
     at_zero = 0.0
@@ -284,19 +281,18 @@ def _dual_sum(frame, gf, us, R, radial, radial0, *, budget, what):
     R_c = R + spread * (2.0 * math.sqrt(R) + spread)  # (sqrt(R) + spread)^2, exactly R for one point
     if R_c > R and R_c > ellipsoid_radius(geom, budget):
         raise BudgetExceeded(f"{what}: candidates within {R_c:.6g} of the centers' mean exceed {budget:.3g} points")
-    to_w = geom.U @ frame.dual_basis.T  # the row x' = m' - c' has w = x' U V^T
     per_point = max((len(part.matrix) for part in gf.by_tpower.values()), default=1)
     acc = CompensatedSum(n * dim)
     # a chunk's coordinates plus its monomial tables hold at most _CHUNK entries
     for ms, _q in ellipsoid_chunks(geom, R_c, center=mean, chunk=max(1, _CHUNK // (per_point + frame.rank))):
         parts = []
         for block in _blocks(centers, len(ms) * per_point):
-            x = ms[None, :, :] - block[:, None, :]  # m' - c', block x candidates x rank
+            x = ms[None, :, :] - block[:, None, :]  # m - c, block x candidates x rank
             qd = np.einsum("bij,jk,bik->bi", x, geom.gram, x)
-            keep = (qd > 0) & (qd <= R)  # w = 0 only where a snapped center meets its own m'
+            keep = (qd > 0) & (qd <= R)  # w = 0 only where a snapped center meets its own m
             rows = np.nonzero(keep)[0]  # the block row of each kept point, ascending
             present, starts = np.unique(rows, return_index=True)
-            ws, qd = x[keep] @ to_w, qd[keep]
+            ws, qd = x[keep] @ V.T, qd[keep]
             part = np.zeros((len(block), dim), dtype=complex)
             for m, poly in gf.by_tpower.items():
                 terms = np.add.reduceat(poly.monomial_table(ws) * radial(m, qd)[:, None], starts, axis=0)

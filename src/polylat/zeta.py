@@ -25,7 +25,7 @@ from .errors import (
     ZeroSectionSingularity,
 )
 from .incgamma import rgamma, upper_gamma
-from .lattice import Geometry, ellipsoid_chunks, ellipsoid_radius
+from .lattice import ellipsoid_chunks, ellipsoid_radius
 from .polygauss import gaussian_ft
 from .sums import _dual_sum, _dual_tail, _paired_sum, _tail, solve_radius
 
@@ -228,11 +228,10 @@ def torus_distance(frame, u):
     |w| over the dual points w = V (m - c) of u, 0 on the zero section."""
     if frame.on_zero_section([u])[0]:
         return 0.0
-    V, geom = frame.dual_basis, Geometry(frame.dual_basis.T @ frame.dual_basis)
-    c = geom.reduce(frame.dual_centers([u]))[0]
-    # the cell around 0 holds c, so that ellipsoid holds the nearest m'
+    V, geom, c = frame.dual_basis, frame.torus_geometry, frame.dual_centers([u])[0]
+    # round(c) is within cell_radius of c, so that ellipsoid holds the nearest m
     ms = np.vstack([ms for ms, _q in ellipsoid_chunks(geom, geom.cell_radius**2, center=c)])
-    return float(np.min(np.linalg.norm((ms - c) @ (geom.U @ V.T), axis=1)))
+    return float(np.min(np.linalg.norm((ms - c) @ V.T, axis=1)))
 
 
 def smoothness_scan(frame, P, s, grid, fd_step=0.01, tol=1e-11):
