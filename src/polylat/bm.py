@@ -14,6 +14,7 @@ x1, y1, ..., x_d, y_d).
 """
 
 from dataclasses import dataclass, field
+import functools
 import itertools
 import math
 
@@ -25,6 +26,10 @@ from .errors import OriginSingularity, QuadratureBudget
 F_ALPHA = 2.0
 F_BETA = 1.0
 SLOT_CONVENTION = "F(z)=(2z,z); kernel in (first - second); orientation from i"
+# points per block of a dense check grid (about 8 MB of temporaries on the
+# S^3 quadrature): the sphere quadrature here and the brute-force current
+# oracle of `verify` add one block's partial sum at a time
+BLOCK_POINTS = 1 << 14
 
 
 def _wedge_vectors(vectors, n):
@@ -40,6 +45,7 @@ def _wedge_vectors(vectors, n):
     return out
 
 
+@functools.cache
 def _kernel_forms(d):
     """Constant exterior parts dconj(w)[j] ^ dw for each j, in real coords."""
     n = 2 * d
@@ -149,32 +155,18 @@ def _embed(z1, z2):
 
 
 def _sphere_integral_d2(r, quad_level):
-    """Gauss-Legendre x trapezoid quadrature on S^3 in Hopf-like coordinates."""
+    """Gauss-Legendre x trapezoid quadrature on S^3 in Hopf-like coordinates.
+
+    z = r (cos(alpha) e^{i phi1}, sin(alpha) e^{i phi2}); the grid is taken
+    as (alpha, phi1) rows of all phi2 nodes, BLOCK_POINTS points at a time.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(quad_level)
     alpha = 0.25 * math.pi * (nodes + 1.0)
     w_alpha = 0.25 * math.pi * weights
     nphi = quad_level * 2
     phi = 2 * math.pi * np.arange(nphi) / nphi
     w_phi = 2 * math.pi / nphi
-    A, P1, P2 = np.meshgrid(alpha, phi, phi, indexing="ij")
-    z1 = r * np.cos(A) * np.exp(1j * P1)
-    z2 = r * np.sin(A) * np.exp(1j * P2)
-    zs = np.stack([z1.ravel(), z2.ravel()], axis=1)
-    coeffs = beta_coeff_arrays(2, zs)
-    # tangent frame of the parametrization, as real 4-vectors per point
-    t_alpha = _embed(-r * np.sin(A) * np.exp(1j * P1), r * np.cos(A) * np.exp(1j * P2)).reshape(-1, 4)
-    t_phi1 = _embed(1j * z1, np.zeros_like(z2)).reshape(-1, 4)
-    t_phi2 = _embed(np.zeros_like(z1), 1j * z2).reshape(-1, 4)
-    frame = np.stack([t_alpha, t_phi1, t_phi2], axis=1)  # (npts, 3, 4)
-    value = np.zeros(zs.shape[0], dtype=complex)
-    for subset, cvals in coeffs.items():
-        minor = frame[:, :, subset]  # (npts, 3, 3)
-        dets = (
-            minor[:, 0, 0] * (minor[:, 1, 1] * minor[:, 2, 2] - minor[:, 1, 2] * minor[:, 2, 1])
-            - minor[:, 0, 1] * (minor[:, 1, 0] * minor[:, 2, 2] - minor[:, 1, 2] * minor[:, 2, 0])
-            + minor[:, 0, 2] * (minor[:, 1, 0] * minor[:, 2, 1] - minor[:, 1, 1] * minor[:, 2, 0])
-        )
-        value += cvals * dets
+    cos_a, sin_a, e_phi = np.cos(alpha), np.sin(alpha), np.exp(1j * phi)
     # orientation: outward normal followed by the frame must be positive
     # in the canonical (x1, y1, x2, y2) orientation fixed by i
     mid = len(alpha) // 2
@@ -184,8 +176,33 @@ def _sphere_integral_d2(r, quad_level):
     t_p1 = np.array([0.0, r * math.cos(alpha[mid]), 0.0, 0.0])
     t_p2 = np.array([0.0, 0.0, 0.0, r * math.sin(alpha[mid])])
     sign = np.sign(np.linalg.det(np.stack([normal, t_a, t_p1, t_p2])))
-    weights_grid = (w_alpha[:, None, None] * w_phi * w_phi * np.ones_like(A)).ravel()
-    return float(sign * np.real(np.sum(value * weights_grid)))
+    n_rows = len(alpha) * nphi
+    step = BLOCK_POINTS // nphi
+    total = 0j
+    for lo in range(0, n_rows, step):
+        ia, i1 = np.divmod(np.arange(lo, min(lo + step, n_rows)), nphi)
+        shape = (len(ia), nphi)
+        z1 = np.broadcast_to((r * cos_a[ia] * e_phi[i1])[:, None], shape)
+        z2 = np.outer(r * sin_a[ia], e_phi)
+        coeffs = beta_coeff_arrays(2, np.stack([z1.ravel(), z2.ravel()], axis=1))
+        # tangent frame of the parametrization, as real 4-vectors per point
+        dz1 = np.broadcast_to((-r * sin_a[ia] * e_phi[i1])[:, None], shape)
+        dz2 = np.outer(r * cos_a[ia], e_phi)
+        t_alpha = _embed(dz1, dz2).reshape(-1, 4)
+        t_phi1 = _embed(1j * z1, np.zeros(shape)).reshape(-1, 4)
+        t_phi2 = _embed(np.zeros(shape), 1j * z2).reshape(-1, 4)
+        frame = np.stack([t_alpha, t_phi1, t_phi2], axis=1)  # (points, 3, 4)
+        value = np.zeros(frame.shape[0], dtype=complex)
+        for subset, cvals in coeffs.items():
+            minor = frame[:, :, subset]  # (points, 3, 3)
+            dets = (
+                minor[:, 0, 0] * (minor[:, 1, 1] * minor[:, 2, 2] - minor[:, 1, 2] * minor[:, 2, 1])
+                - minor[:, 0, 1] * (minor[:, 1, 0] * minor[:, 2, 2] - minor[:, 1, 2] * minor[:, 2, 0])
+                + minor[:, 0, 2] * (minor[:, 1, 0] * minor[:, 2, 1] - minor[:, 1, 1] * minor[:, 2, 0])
+            )
+            value += cvals * dets
+        total += np.sum(value.reshape(shape) * (w_alpha[ia] * w_phi * w_phi)[:, None])
+    return float(sign * np.real(total))
 
 
 def closedness_residual(d, z, h):

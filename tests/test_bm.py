@@ -1,7 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from polylat.bm import beta_eval, closedness_residual, sphere_integral
+from polylat.bm import _embed, beta_coeff_arrays, beta_eval, closedness_residual, sphere_integral
 from polylat.errors import OriginSingularity, QuadratureBudget
 
 
@@ -18,6 +21,63 @@ def test_d1_matches_closed_form():
 def test_d2_sphere_integral_unit():
     for r in (0.2, 0.4, 0.6, 0.8):
         assert abs(sphere_integral(2, r, 32) - 1.0) <= 1e-6
+
+
+def _sphere_integral_d2_one_array(r, quad_level):
+    """Reference: the whole S^3 grid as one array, no blocks and no hoisting."""
+    nodes, weights = np.polynomial.legendre.leggauss(quad_level)
+    alpha = 0.25 * math.pi * (nodes + 1.0)
+    w_alpha = 0.25 * math.pi * weights
+    nphi = quad_level * 2
+    phi = 2 * math.pi * np.arange(nphi) / nphi
+    w_phi = 2 * math.pi / nphi
+    A, P1, P2 = np.meshgrid(alpha, phi, phi, indexing="ij")
+    z1 = r * np.cos(A) * np.exp(1j * P1)
+    z2 = r * np.sin(A) * np.exp(1j * P2)
+    zs = np.stack([z1.ravel(), z2.ravel()], axis=1)
+    coeffs = beta_coeff_arrays(2, zs)
+    t_alpha = _embed(-r * np.sin(A) * np.exp(1j * P1), r * np.cos(A) * np.exp(1j * P2)).reshape(-1, 4)
+    t_phi1 = _embed(1j * z1, np.zeros_like(z2)).reshape(-1, 4)
+    t_phi2 = _embed(np.zeros_like(z1), 1j * z2).reshape(-1, 4)
+    frame = np.stack([t_alpha, t_phi1, t_phi2], axis=1)
+    value = np.zeros(zs.shape[0], dtype=complex)
+    for subset, cvals in coeffs.items():
+        minor = frame[:, :, subset]
+        dets = (
+            minor[:, 0, 0] * (minor[:, 1, 1] * minor[:, 2, 2] - minor[:, 1, 2] * minor[:, 2, 1])
+            - minor[:, 0, 1] * (minor[:, 1, 0] * minor[:, 2, 2] - minor[:, 1, 2] * minor[:, 2, 0])
+            + minor[:, 0, 2] * (minor[:, 1, 0] * minor[:, 2, 1] - minor[:, 1, 1] * minor[:, 2, 0])
+        )
+        value += cvals * dets
+    mid = len(alpha) // 2
+    sample = np.array([r * math.cos(alpha[mid]), 0.0, r * math.sin(alpha[mid]), 0.0])
+    normal = sample / np.linalg.norm(sample)
+    t_a = np.array([-math.sin(alpha[mid]) * r, 0.0, math.cos(alpha[mid]) * r, 0.0])
+    t_p1 = np.array([0.0, r * math.cos(alpha[mid]), 0.0, 0.0])
+    t_p2 = np.array([0.0, 0.0, 0.0, r * math.sin(alpha[mid])])
+    sign = np.sign(np.linalg.det(np.stack([normal, t_a, t_p1, t_p2])))
+    weights_grid = (w_alpha[:, None, None] * w_phi * w_phi * np.ones_like(A)).ravel()
+    return float(sign * np.real(np.sum(value * weights_grid)))
+
+
+@pytest.mark.parametrize("quad_level", [8, 32])
+def test_d2_blocked_matches_one_array(quad_level):
+    # q = 8 is one block, q = 32 eight blocks of 4 alpha nodes
+    for r in (0.3, 0.7):
+        got = sphere_integral(2, r, quad_level)
+        assert abs(got - _sphere_integral_d2_one_array(r, quad_level)) <= 1e-15
+
+
+def test_d2_memory_stays_bounded():
+    # the one-array grid peaks at 513 MB here; blocks hold about 9 MB
+    tracemalloc.start()
+    try:
+        value = sphere_integral(2, 0.4, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - 1.0) <= 1e-6
+    assert peak <= 32 * 2**20
 
 
 def test_d2_radius_independence():
