@@ -8,6 +8,7 @@ emit CSV for plot consumption.  Exit codes: 0 success / all checks pass,
 """
 
 import argparse
+import cmath
 import csv
 import itertools
 import json
@@ -61,7 +62,7 @@ def _input(parse):
     def wrapped(text, *args):
         try:
             return parse(text, *args)
-        except (ValueError, TypeError, AttributeError, IndexError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError, AttributeError, IndexError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"malformed input {text!r}: {exc}") from None
 
     return wrapped
@@ -72,6 +73,8 @@ def parse_rational_vector(text, rank):
     vec = [Fraction(x) for x in text.split(",")]
     if len(vec) != rank:
         raise ValueError(f"expected {rank} coordinates, got {len(vec)}")
+    if any(abs(x) > sys.float_info.max for x in vec):
+        raise ValueError("a coordinate lies beyond float range")
     return vec
 
 
@@ -82,7 +85,10 @@ def parse_vector(text, rank):
 @_input
 def parse_complex(text):
     parts = text.split(",")
-    return complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
+    value = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
+    if not cmath.isfinite(value):
+        raise ValueError("both parts must be finite")
+    return value
 
 
 @_input
@@ -220,10 +226,9 @@ def cmd_zeta_eval(args):
     P = parse_poly(args.p, frame.rank)
     u = parse_vector(args.u, frame.rank) if args.u else [0.0] * frame.rank
     s = parse_complex(args.s)
-    mode = {"direct": "direct", "accel": "accel", "auto": "auto"}[args.mode]
     zv = kzeta(
         frame, P, u, s,
-        mode=mode,
+        mode=args.mode,
         split_a=cfg.split_a(args.split_a),
         tol=cfg.tol(args.tol),
     )

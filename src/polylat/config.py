@@ -19,15 +19,18 @@ Grammar (documented in the README):
     split_a = 1.0
     grade_max = 4
 
-Values after '=' are JSON; strings of the shape "p/q" become exact
-rationals where a matrix entry is expected.
+Values after '=' are JSON.  Every matrix entry, d, rank and grade_max is
+read exactly by ratlin.as_fraction: an int, an integral float or a string
+such as "p/q" or "0.25"; d, rank, grade_max and the entries of E must be
+integers.  Anything else is a ConfigError.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import json
 import os
+import sys
 
+from . import ratlin
 from .errors import ConfigError, ConfigNotFound
 from .lattice import PolarizedAbelianData, SumLattice
 
@@ -85,14 +88,25 @@ def parse_sections(text):
     return sections
 
 
-def _as_rational(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float) and x == int(x):
-        return Fraction(int(x))
-    raise ConfigError(f"matrix entry {x!r} is not an exact rational")
+def _exact(where, x, integral=False):
+    """x by ratlin.as_fraction, the one coercion of every entry: a Fraction, or an
+    int where integral; a ConfigError if x is malformed or not integral where asked."""
+    try:
+        value = ratlin.as_fraction(x)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"{where}: malformed entry {x!r}: {exc}") from None
+    if not integral:
+        return value
+    if value.denominator != 1:
+        raise ConfigError(f"{where}: {x!r} is not an integer")
+    return int(value)
+
+
+def _matrix(where, rows, n, integral=False):
+    """An n x n matrix of exact entries; a ConfigError for any other shape."""
+    if not isinstance(rows, list) or len(rows) != n or any(not isinstance(r, list) or len(r) != n for r in rows):
+        raise ConfigError(f"{where} must be a {n}x{n} matrix")
+    return [[_exact(where, x, integral) for x in row] for row in rows]
 
 
 def load_config(path):
@@ -111,38 +125,35 @@ def load_config(path):
             ok = False
         if not ok:
             raise ConfigError(f"[defaults] {key} must be a positive number, got {defaults[key]!r}")
+    if "grade_max" in defaults:
+        defaults["grade_max"] = _exact("[defaults] grade_max", defaults["grade_max"], integral=True)
     if lat.get("mode") == "euclidean":
-        rank = int(lat.get("rank", 0))
+        rank = _exact("[lattice] rank", lat.get("rank", 0), integral=True)
         if rank < 1:
             raise ConfigError("euclidean mode needs rank >= 1")
         q = lat.get("q")
         if q is not None:
-            q = [[float(_as_number(x)) for x in row] for row in q]
+            q = _matrix("[lattice] q", q, rank)
+            if any(abs(x) > sys.float_info.max for row in q for x in row):
+                raise ConfigError("[lattice] q has an entry beyond float range")
+            q = [[float(x) for x in row] for row in q]
         return RunConfig(
             lattice_kind="euclidean", frame_q=q, rank=rank, defaults=defaults, path=path
         )
-    d = lat.get("d")
-    e_mat = lat.get("E")
-    if d is None or e_mat is None:
+    if "d" not in lat or "E" not in lat:
         raise ConfigError("[lattice] needs d and E (plus J or period_matrix)")
+    d = _exact("[lattice] d", lat["d"], integral=True)
+    if d < 1:
+        raise ConfigError("[lattice] needs d >= 1")
+    e_mat = _matrix("[lattice] E", lat["E"], 2 * d, integral=True)
     if "J" in lat:
-        j_mat = [[_as_rational(x) for x in row] for row in lat["J"]]
-        data = PolarizedAbelianData(int(d), j_mat, e_mat)
+        data = PolarizedAbelianData(d, _matrix("[lattice] J", lat["J"], 2 * d), e_mat)
     elif "period_matrix" in lat:
-        periods = [
-            [complex(entry[0], entry[1]) for entry in row] for row in lat["period_matrix"]
-        ]
-        data = PolarizedAbelianData.from_period_matrix(periods, e_mat)
+        try:
+            periods = [[complex(entry[0], entry[1]) for entry in row] for row in lat["period_matrix"]]
+            data = PolarizedAbelianData.from_period_matrix(periods, e_mat)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ConfigError(f"[lattice] period_matrix: {exc}") from None
     else:
         raise ConfigError("[lattice] needs J or period_matrix")
-    return RunConfig(
-        lattice_kind="abelian", data=data, rank=2 * int(d), defaults=defaults, path=path
-    )
-
-
-def _as_number(x):
-    if isinstance(x, str):
-        return float(Fraction(x))
-    if isinstance(x, (int, float)):
-        return float(x)
-    raise ConfigError(f"numeric entry expected, got {x!r}")
+    return RunConfig(lattice_kind="abelian", data=data, rank=2 * d, defaults=defaults, path=path)

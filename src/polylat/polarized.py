@@ -36,7 +36,7 @@ class PolarizedAbelianData:
     symmetrized matrix of E(J., .)).
     """
 
-    def __init__(self, d, J, E, _float_tol=None):
+    def __init__(self, d, J, E):
         self.d = int(d)
         n = 2 * self.d
         self.J = ratlin.frac_matrix(J)
@@ -54,10 +54,11 @@ class PolarizedAbelianData:
             for j in range(n):
                 if self.E[i][j] != -self.E[j][i]:
                     raise SingularPolarization("E is not alternating")
-        if ratlin.det(ratlin.frac_matrix(self.E)) == 0:
+        ef = ratlin.frac_matrix(self.E)
+        self._det_e = int(ratlin.det(ef))
+        if self._det_e == 0:
             raise SingularPolarization("det E = 0")
         # compatibility E(Jx, Jy) = E(x, y)
-        ef = ratlin.frac_matrix(self.E)
         jt_e_j = ratlin.mat_mul(ratlin.mat_mul(ratlin.transpose(self.J), ef), self.J)
         if jt_e_j != ef:
             raise ConventionViolation("E(Jx, Jy) != E(x, y)")
@@ -157,7 +158,7 @@ class PolarizedAbelianData:
         return _to_float_matrix(self.E)
 
     def det_e(self):
-        return int(ratlin.det(ratlin.frac_matrix(self.E)))
+        return self._det_e
 
 
 @dataclass(frozen=True)
@@ -169,22 +170,12 @@ class DualLattice:
 
 
 def dual_lattice(data):
-    """Vectors pairing integrally with the lattice, plus the index kappa."""
-    ef = ratlin.frac_matrix(data.E)
-    if ratlin.det(ef) == 0:
-        raise SingularPolarization("det E = 0")
+    """Vectors pairing integrally with the lattice, plus the index kappa = |det E|."""
     # l' in the dual iff E(l', e_j) in Z for all j, i.e. E^T l' integral;
     # generators are the columns of E^{-T}.
-    inv_t = ratlin.transpose(ratlin.inverse(ef))
+    inv_t = ratlin.transpose(ratlin.inverse(ratlin.frac_matrix(data.E)))
     cols = tuple(tuple(inv_t[i][j] for i in range(len(inv_t))) for j in range(len(inv_t)))
-    kappa = abs(int(ratlin.det(ef)))
-    snf = ratlin.smith_diagonal(data.E)
-    prod = 1
-    for x in snf:
-        prod *= x
-    if prod != kappa:
-        raise SingularPolarization("Smith normal form disagrees with det E")
-    return DualLattice(basis=cols, kappa=kappa)
+    return DualLattice(basis=cols, kappa=abs(data.det_e()))
 
 
 def _snap_fraction(x, tol):

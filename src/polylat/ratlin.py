@@ -123,60 +123,3 @@ def rank(a):
         if r == nrows:
             break
     return r
-
-
-def smith_diagonal(a):
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Returns the nonnegative invariant factors d_1 | d_2 | ... (zeros last).
-    """
-    m = [[int(x) for x in row] for row in a]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    diag = []
-    top = 0
-    while top < min(nrows, ncols):
-        # locate smallest nonzero entry in the remaining block
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        m[top], m[i0] = m[i0], m[top]
-        for row in m:
-            row[top], row[j0] = row[j0], row[top]
-        # clear row/column by division with remainder; repeat until clean
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(top + 1, nrows):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    m[i] = [x - q * y for x, y in zip(m[i], m[top])]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-            for j in range(top + 1, ncols):
-                if m[top][j]:
-                    q = m[top][j] // m[top][top]
-                    for row in m:
-                        row[j] -= q * row[top]
-                    if m[top][j]:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-        diag.append(abs(m[top][top]))
-        top += 1
-    # enforce divisibility chain
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            a_, b_ = diag[i], diag[j]
-            if a_ and b_ % a_ != 0:
-                from math import gcd
-
-                g = gcd(a_, b_)
-                diag[i], diag[j] = g, a_ * b_ // g
-    return diag

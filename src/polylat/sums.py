@@ -2,9 +2,9 @@
 sums with their closed-form tails.
 
 The Fincke-Pohst ellipsoid sums `_paired_sum` and `_dual_sum` serve theta
-(both sides), zeta, the currents and `theta.poisson_check`; `_tail` and
-`power_tail` bound what a radius leaves out, and `solve_radius` finds the
-least radius that meets a tolerance.  Each reads its Gram factors from the
+(both sides), zeta and the currents; `_tail` and `power_tail` bound what a
+radius leaves out, and `solve_radius` finds the least radius that meets a
+tolerance.  Each reads its Gram factors from the
 frame's `geometry` (direct side) or `dual_geometry` (dual side).
 """
 

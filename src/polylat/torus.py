@@ -117,15 +117,8 @@ def _coerce_scalar(x):
     raise TypeError(f"cannot coerce {x!r} into the exact coefficient ring")
 
 
-def _merge_wedge(idx, ext):
-    """Insert index idx into a strictly increasing tuple; None if repeated."""
-    if idx in ext:
-        return None, 0
-    pos = sum(1 for e in ext if e < idx)
-    return tuple(sorted(ext + (idx,))), (-1) ** pos
-
-
 def _wedge_tuples(e1, e2):
+    """dx^e1 ^ dx^e2 as (sorted indices, reordering sign); (None, 0) if an index repeats."""
     if set(e1) & set(e2):
         return None, 0
     merged = e1 + e2
@@ -244,7 +237,7 @@ def exterior_d(f):
         if all(x == 0 for x in char):
             continue
         for i, col in enumerate(et):
-            new_ext, sign = _merge_wedge(i, ext)
+            new_ext, sign = _wedge_tuples((i,), ext)
             if new_ext is None:
                 continue
             p = sum(e * char[j] for j, e in col)
@@ -279,7 +272,7 @@ def log_connection(f):
         # (-1)^p omega ^ dx^i = wsign * dx^{I u i}: the Leibniz sign cancels
         # against the wedge reordering sign.
         for i in range(f.data.rank):
-            new_ext, wsign = _merge_wedge(i, ext)
+            new_ext, wsign = _wedge_tuples((i,), ext)
             if new_ext is None:
                 continue
             new_word = tuple(sorted(word + (i,)))

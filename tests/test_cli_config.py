@@ -233,6 +233,14 @@ def test_cli_current_and_eisenstein(tmp_path):
         ["zeta", "eval", "CFG", "--s", "3,0", "--mode", "accel", "--A", "inf"],
         ["zeta", "eval", "CFG", "--s", "3,0", "--tol", "inf"],
         ["zeta", "scan", "CFG", "--s", "2,0", "--fd-step", "inf"],
+        ["theta", "eval", "CFG", "--t", "1", "--u", "1e400,0"],
+        ["current", "eval", "CFG", "--u", "1e400,0"],
+        ["eisenstein", "eval", "CFG", "--torsion", "1/3,1e400", "--l", "2"],
+        ["zeta", "eval", "CFG", "--s", "nan,0", "--mode", "accel"],
+        ["zeta", "eval", "CFG", "--s", "inf,0", "--mode", "direct"],
+        ["zeta", "check", "CFG", "--s", "3,nan"],
+        ["zeta", "scan", "CFG", "--s", "nan,0"],
+        pytest.param(["theta", "eval", "CFG", "--t", "1.0", "--p", '{"0,0": [1' + "0" * 400 + "]}"], id="--p 10^400"),
         pytest.param(["--threads", "0", "lattice", "info", "CFG"], id="--threads 0"),
         pytest.param(["--threads", "-2", "lattice", "info", "CFG"], id="--threads -2"),
     ],
@@ -251,6 +259,38 @@ def test_config_bad_defaults_exit2(tmp_path, capsys, line):
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["zeta", "eval", path, "--s", "3,0", "--mode", "accel"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_ERROR"
+
+
+@pytest.mark.parametrize(
+    "old, new, argv",
+    [
+        pytest.param('J = [[0, -1]', 'J = [["abc", -1]', ["lattice", "info"], id="J entry abc"),
+        pytest.param('J = [[0, -1]', 'J = [["1/0", -1]', ["lattice", "info"], id="J entry 1/0"),
+        pytest.param("d = 1", 'd = "x"', ["lattice", "info"], id="d x"),
+        pytest.param("E = [[0, -1], [1, 0]]", "E = [[0, -1], [1]]", ["lattice", "info"], id="ragged E"),
+        pytest.param("E = [[0, -1], [1, 0]]", "E = [[0, -1.5], [1.5, 0]]", ["lattice", "info"], id="E entry 1.5"),
+        pytest.param("tol = 1e-10", 'grade_max = "x"', ["current", "eval", "--u", "0.31,0.47"], id="grade_max x"),
+        pytest.param(
+            "J = [[0, -1], [1, 0]]", 'period_matrix = [[[1, "a"], [0, 1]]]', ["lattice", "info"], id="period_matrix entry a"
+        ),
+    ],
+)
+def test_config_bad_lattice_exit2(tmp_path, capsys, old, new, argv):
+    assert old in TAU_I
+    path = write(tmp_path, "a.cfg", TAU_I.replace(old, new))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(argv[:2] + [path] + argv[2:]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_ERROR"
+
+
+@pytest.mark.parametrize("entry", ['"abc"', "1" + "0" * 400], ids=["abc", "10^400"])
+def test_config_bad_euclidean_q_exit2(tmp_path, capsys, entry):
+    path = write(tmp_path, "e.cfg", EUCLID.replace("q = [[1, 0]", f"q = [[{entry}, 0]"))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["lattice", "info", path]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_ERROR"
 
 

@@ -42,6 +42,35 @@ def test_dual_lattice_index_four():
     assert dual_lattice(data).kappa == 4
 
 
+# the curves of the theta-lattice benchmark (e_scale 1 and 2), one of index 9,
+# and two rank-4 products of index 4 and 16
+KAPPA_CURVES = [
+    (0, 1, 1), (Fraction(1, 4), Fraction(5, 4), 1), (Fraction(-1, 2), Fraction(3, 2), 1),
+    (Fraction(1, 2), Fraction(7, 4), 1), (0, Fraction(5, 4), 2), (Fraction(-1, 4), 1, 2),
+    (Fraction(1, 4), Fraction(7, 4), 2), (Fraction(1, 2), Fraction(3, 2), 2), (Fraction(1, 3), 2, 3),
+]
+KAPPA_PRODUCTS = [((0, 1, 1), (Fraction(-1, 4), 1, 2)), ((0, Fraction(5, 4), 2), (Fraction(1, 2), Fraction(3, 2), 2))]
+
+
+def _dual_classes(data):
+    """#{x in (1/D) Z^r in [0, 1)^r : E^T x integral}, D = |det E| in floats:
+    the points of the dual lattice mod Z^r, counted one by one."""
+    e = np.array(data.E)
+    D = round(abs(np.linalg.det(e)))
+    k = np.indices((D,) * data.rank).reshape(data.rank, -1)  # x = k / D
+    return int(np.all((e.T @ k) % D == 0, axis=0).sum())
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[c] for c in KAPPA_CURVES] + [list(p) for p in KAPPA_PRODUCTS],
+    ids=lambda factors: " x ".join(f"{x}+{y}i:e{e}" for x, y, e in factors),
+)
+def test_kappa_counts_dual_classes(factors):
+    data = PolarizedAbelianData.product(*(PolarizedAbelianData.from_tau(*f) for f in factors))
+    assert _dual_classes(data) == dual_lattice(data).kappa
+
+
 def test_singular_polarization_rejected():
     with pytest.raises(SingularPolarization):
         PolarizedAbelianData(1, [[0, -1], [1, 0]], [[0, 0], [0, 0]])

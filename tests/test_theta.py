@@ -10,7 +10,7 @@ import pytest
 from polylat import PolarizedAbelianData, SumLattice
 from polylat.errors import BudgetExceeded
 from polylat.polygauss import VectorPolynomial
-from polylat.theta import poisson_check, theta_direct, theta_eval, theta_transformed
+from polylat.theta import theta_direct, theta_eval, theta_transformed
 from polylat.verify import random_abelian_data
 
 
@@ -133,38 +133,39 @@ def test_budget_exceeded(tau_i_frame):
         theta_transformed(tau_i_frame, P, [0, 0], 1e6, tol=1e-14)
 
 
+def _poisson_residual(data, P, h):
+    """|direct - transformed| of the theta sum at t = 1 on the dual frame, each side certified to 1e-12."""
+    frame = SumLattice.from_abelian(data, "dual")
+    a = theta_direct(frame, P, h, 1.0, tol=1e-12)
+    b = theta_transformed(frame, P, h, 1.0, tol=1e-12)
+    return float(np.max(np.abs(a.value - b.value)))
+
+
 def test_poisson_residuals():
     data = PolarizedAbelianData.from_tau(0, 1)
     P0 = VectorPolynomial.constant(1.0, 2)
-    assert poisson_check(data, P0, 1.0, [0, 0], 90.0, 90.0) <= 1e-10
+    assert _poisson_residual(data, P0, [0, 0]) <= 1e-10
     P = VectorPolynomial(2, {(2, 0): [1.0], (1, 1): [0.5]})
-    assert poisson_check(data, P, 1.0, [1 / 3, 0], 90.0, 90.0) <= 1e-10
+    assert _poisson_residual(data, P, [1 / 3, 0]) <= 1e-10
     zero = VectorPolynomial(2, {}, homogeneous=True)
-    assert poisson_check(data, zero, 1.0, [0, 0], 90.0, 90.0) == 0.0
-    # skewed frames of index 4 at 90 and a rank-4 product at 120: their
-    # sup-norm box-shell tails do not certify 1e-12 at these radii
-    for factors, radius in (
-        ([(Fraction(-1, 2), Fraction(3, 2), 2)], 90.0),
-        ([(Fraction(1, 2), Fraction(7, 4), 2)], 90.0),
-        ([(0, 1, 1), (Fraction(1, 2), Fraction(3, 2), 1)], 120.0),
+    assert _poisson_residual(data, zero, [0, 0]) == 0.0
+    # skewed frames of index 4 and a rank-4 product
+    for factors in (
+        [(Fraction(-1, 2), Fraction(3, 2), 2)],
+        [(Fraction(1, 2), Fraction(7, 4), 2)],
+        [(0, 1, 1), (Fraction(1, 2), Fraction(3, 2), 1)],
     ):
         data = PolarizedAbelianData.product(*(PolarizedAbelianData.from_tau(*f) for f in factors))
         r = data.rank
         h = [1 / 3] + [0] * (r - 1)
         for P in (VectorPolynomial.constant(1.0, r), VectorPolynomial(r, {(2,) + (0,) * (r - 1): [1.0]})):
-            assert poisson_check(data, P, 1.0, h, radius, radius) <= 1e-10
+            assert _poisson_residual(data, P, h) <= 1e-10
 
 
 def test_poisson_near_zero_section():
     # h = (1e-7, 0) is off the zero section: the dual point w = h keeps its term
     data = PolarizedAbelianData.from_tau(0, 1)
-    assert poisson_check(data, VectorPolynomial.constant(1.0, 2), 1.0, [1e-7, 0], 90.0, 90.0) <= 1e-10
-
-
-def test_poisson_requires_certified_tails():
-    data = PolarizedAbelianData.from_tau(0, 1)
-    with pytest.raises(BudgetExceeded):
-        poisson_check(data, VectorPolynomial.constant(1.0, 2), 1.0, [0, 0], 4.0, 4.0)
+    assert _poisson_residual(data, VectorPolynomial.constant(1.0, 2), [1e-7, 0]) <= 1e-10
 
 
 def _theta_reference(frame, P, u, t):
