@@ -84,8 +84,10 @@ def parse_vector(text, rank):
 
 @_input
 def parse_complex(text):
-    parts = text.split(",")
-    value = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
+    parts = [float(x) for x in text.split(",")]
+    if len(parts) > 2:
+        raise ValueError(f"expected re or re,im, got {len(parts)} parts")
+    value = complex(*parts)
     if not cmath.isfinite(value):
         raise ValueError("both parts must be finite")
     return value
@@ -130,59 +132,83 @@ def _theta_record(result, command, inputs):
     }
 
 
-def cmd_lattice_info(args):
-    import numpy as np
+def _components(cv):
+    """A current value's components keyed 'word|ext', in sorted order."""
+    return {f"{list(word)}|{list(ext)}": complex(v) for (word, ext), v in sorted(cv.components.items())}
 
-    from .config import load_config
-    from .lattice import SumLattice, enumerate_shell
-    from .polarized import CONVENTION_NOTE, dual_lattice
 
-    cfg = load_config(args.config)
-    if cfg.lattice_kind == "euclidean":
-        frame = cfg.frame()
-        emit(
-            {
-                "command": "lattice info",
-                "kind": "euclidean",
-                "rank": frame.rank,
-                "gram_det": float(np.linalg.det(frame.gram)),
-                "min_nonzero_q": float(np.min(frame.q_values(enumerate_shell(frame, 4.0 * frame.sigma_max)))),
-            }
-        )
-        return 0
-    data = cfg.data
-    dl = dual_lattice(data)
-    shells = enumerate_shell(data, 4.0 * math.pi * data.d)
-    frame = SumLattice.from_abelian(data, "primal")
-    checks = {
-        "j_squared": "exact",
-        "e_alternating": True,
-        "positivity": True,
-        "kappa_equals_abs_det_e": dl.kappa == abs(data.det_e()),
+def _current_record(cv, command, inputs):
+    return {
+        "command": command,
+        "inputs": inputs,
+        "components": _components(cv),
+        "regime": cv.regime,
+        "error_bound": cv.error_bound,
+        "convention_metadata": cv.meta.get("convention"),
     }
-    emit(
-        {
-            "command": "lattice info",
-            "kind": "abelian",
-            "d": data.d,
-            "kappa": dl.kappa,
-            "det_e": data.det_e(),
-            "min_nonzero_q": float(np.min(frame.q_values(shells))),
-            "convention_checks": checks,
-            "convention_metadata": CONVENTION_NOTE,
-        }
-    )
-    return 0
 
 
-def cmd_theta_eval(args):
+def _midpoints(n, rank):
+    """The torus grid of cell midpoints (i + 1/2)/n, n per axis."""
+    return [tuple((i + 0.5) / n for i in idx) for idx in itertools.product(range(n), repeat=rank)]
+
+
+def frame_inputs(args, u_default=0.0):
+    """(cfg, frame, P, u) of a frame command, parsed in that order; u is None for a command without --u."""
     from .config import load_config
-    from .theta import theta_eval
 
     cfg = load_config(args.config)
     frame = cfg.frame(side=args.side)
     P = parse_poly(args.p, frame.rank)
-    u = parse_vector(args.u, frame.rank) if args.u else [0.0] * frame.rank
+    u = None
+    if "u" in args:
+        u = parse_vector(args.u, frame.rank) if args.u else [u_default] * frame.rank
+    return cfg, frame, P, u
+
+
+def abelian_config(args):
+    from .config import load_config
+
+    cfg = load_config(args.config)
+    if cfg.lattice_kind != "abelian":
+        raise ConfigError(f"{args.group} {args.action} needs abelian lattice data")
+    return cfg
+
+
+def cmd_lattice_info(args):
+    import numpy as np
+
+    from .config import load_config
+    from .lattice import enumerate_shell
+
+    cfg = load_config(args.config)
+    frame = cfg.frame(side="primal")
+    if cfg.lattice_kind == "euclidean":
+        record = {"kind": "euclidean", "rank": frame.rank, "gram_det": float(np.linalg.det(frame.gram))}
+        radius = 4.0 * frame.sigma_max
+    else:
+        from .polarized import CONVENTION_NOTE
+
+        data = cfg.data
+        record = {
+            "kind": "abelian",
+            "d": data.d,
+            "kappa": abs(data.det_e()),
+            "det_e": data.det_e(),
+            "convention_checks": {"j_squared": "exact", "e_alternating": True, "positivity": True},
+            "convention_metadata": CONVENTION_NOTE,
+        }
+        radius = 4.0 * math.pi * data.d
+    record["command"] = "lattice info"
+    record["min_nonzero_q"] = float(np.min(frame.q_values(enumerate_shell(frame, radius))))
+    emit(record)
+    return 0
+
+
+def cmd_theta_eval(args):
+    from .theta import theta_eval
+
+    cfg, frame, P, u = frame_inputs(args)
     res = theta_eval(frame, P, u, args.t, tol=cfg.tol(args.tol), mode=args.mode)
     emit(_theta_record(res, "theta eval", {"p": poly_spec(P), "t": args.t, "u": u, "mode": args.mode}))
     return 0
@@ -191,13 +217,9 @@ def cmd_theta_eval(args):
 def cmd_theta_check(args):
     import numpy as np
 
-    from .config import load_config
     from .theta import theta_direct, theta_transformed
 
-    cfg = load_config(args.config)
-    frame = cfg.frame(side=args.side)
-    P = parse_poly(args.p, frame.rank)
-    u = parse_vector(args.u, frame.rank) if args.u else [0.0] * frame.rank
+    cfg, frame, P, u = frame_inputs(args)
     # truncation certificates must sit well below the comparison threshold
     tol = min(cfg.tol(args.tol), args.threshold / 100.0)
     a = theta_direct(frame, P, u, args.t, tol=tol)
@@ -218,24 +240,16 @@ def cmd_theta_check(args):
 
 
 def cmd_zeta_eval(args):
-    from .config import load_config
     from .zeta import kzeta
 
-    cfg = load_config(args.config)
-    frame = cfg.frame(side=args.side)
-    P = parse_poly(args.p, frame.rank)
-    u = parse_vector(args.u, frame.rank) if args.u else [0.0] * frame.rank
+    cfg, frame, P, u = frame_inputs(args)
     s = parse_complex(args.s)
-    zv = kzeta(
-        frame, P, u, s,
-        mode=args.mode,
-        split_a=cfg.split_a(args.split_a),
-        tol=cfg.tol(args.tol),
-    )
+    split_a = cfg.split_a(args.split_a)
+    zv = kzeta(frame, P, u, s, mode=args.mode, split_a=split_a, tol=cfg.tol(args.tol))
     emit(
         {
             "command": "zeta eval",
-            "inputs": {"p": poly_spec(P), "s": s, "u": u, "split_a": cfg.split_a(args.split_a), "mode": args.mode},
+            "inputs": {"p": poly_spec(P), "s": s, "u": u, "split_a": split_a, "mode": args.mode},
             "value": [complex(v) for v in zv.value],
             "regime": zv.regime,
             "error_bound": zv.error_bound,
@@ -245,13 +259,9 @@ def cmd_zeta_eval(args):
 
 
 def cmd_zeta_check(args):
-    from .config import load_config
     from .zeta import kzeta, kzeta_accelerated
 
-    cfg = load_config(args.config)
-    frame = cfg.frame(side=args.side)
-    P = parse_poly(args.p, frame.rank)
-    u = parse_vector(args.u, frame.rank) if args.u else [1.0 / 3.0] * frame.rank
+    cfg, frame, P, u = frame_inputs(args, u_default=1.0 / 3.0)
     s = parse_complex(args.s)
     tol = cfg.tol(args.tol)
     vals = {}
@@ -280,26 +290,14 @@ def cmd_zeta_check(args):
 
 
 def cmd_zeta_scan(args):
-    from .config import load_config
     from .zeta import smoothness_scan
 
-    cfg = load_config(args.config)
-    frame = cfg.frame(side=args.side)
-    P = parse_poly(args.p, frame.rank)
+    cfg, frame, P, _ = frame_inputs(args)
     s = parse_complex(args.s)
-    n = args.grid_n
-    grid = []
-    for idx in itertools.product(range(n), repeat=frame.rank):
-        grid.append(tuple((i + 0.5) / n for i in idx))
+    grid = _midpoints(args.grid_n, frame.rank)
     rows = smoothness_scan(frame, P, s, grid, fd_step=args.fd_step, tol=cfg.tol(args.tol))
     writer = csv.writer(sys.stdout)
-    header = [f"u{i + 1}" for i in range(frame.rank)] + [
-        "component",
-        "value_re",
-        "value_im",
-        "grad_norm",
-    ]
-    writer.writerow(header)
+    writer.writerow([f"u{i + 1}" for i in range(frame.rank)] + ["component", "value_re", "value_im", "grad_norm"])
     for row in rows:
         for comp in range(P.target_dim):
             val = row["value"][comp]
@@ -311,79 +309,41 @@ def cmd_zeta_scan(args):
 
 
 def cmd_current_eval(args):
-    from .config import load_config
     from .currents import g_total
 
-    cfg = load_config(args.config)
-    if cfg.lattice_kind != "abelian":
-        raise ConfigError("current eval needs abelian lattice data")
+    cfg = abelian_config(args)
     u = parse_vector(args.u, cfg.data.rank)
     grades = g_total(cfg.data, u, cfg.grade_max(args.grade_max), tol=cfg.tol(args.tol))
     for n, cv in grades.items():
-        emit(
-            {
-                "command": "current eval",
-                "inputs": {"u": u, "grade": n},
-                "components": {
-                    f"{list(word)}|{list(ext)}": complex(v)
-                    for (word, ext), v in sorted(cv.components.items())
-                },
-                "regime": cv.regime,
-                "error_bound": cv.error_bound,
-                "convention_metadata": cv.meta.get("convention"),
-            }
-        )
+        emit(_current_record(cv, "current eval", {"u": u, "grade": n}))
     return 0
 
 
 def cmd_current_scan(args):
-    from .config import load_config
     from .currents import g_grade
 
-    cfg = load_config(args.config)
-    if cfg.lattice_kind != "abelian":
-        raise ConfigError("current scan needs abelian lattice data")
-    n = args.grid_n
-    writer = csv.writer(sys.stdout)
+    cfg = abelian_config(args)
     rank = cfg.data.rank
+    writer = csv.writer(sys.stdout)
     header = [f"u{i + 1}" for i in range(rank)] + ["component", "value_re", "value_im"]
-    for idx in itertools.product(range(n), repeat=rank):
-        u = tuple((i + 0.5) / n for i in idx)
+    for u in _midpoints(args.grid_n, rank):
         cv = g_grade(cfg.data, u, args.grade, tol=cfg.tol(args.tol))
         if header:  # written with the first row, so a scan failing at its first point writes nothing
             writer.writerow(header)
             header = None
-        for (word, ext), v in sorted(cv.components.items()):
-            writer.writerow(
-                [f"{x:.12g}" for x in u]
-                + [f"{list(word)}|{list(ext)}", f"{v.real:.15g}", f"{v.imag:.15g}"]
-            )
+        for key, v in _components(cv).items():
+            writer.writerow([f"{x:.12g}" for x in u] + [key, f"{v.real:.15g}", f"{v.imag:.15g}"])
     return 0
 
 
 def cmd_eisenstein_eval(args):
-    from .config import load_config
     from .currents import TorsionPoint, eisenstein_value
 
-    cfg = load_config(args.config)
-    if cfg.lattice_kind != "abelian":
-        raise ConfigError("eisenstein eval needs abelian lattice data")
+    cfg = abelian_config(args)
     x = TorsionPoint.from_rationals(parse_rational_vector(args.torsion, cfg.data.rank))
     n_max = args.nmax if args.nmax is not None else args.l + 3
     cv = eisenstein_value(cfg.data, x, args.l, n_max, tol=cfg.tol(args.tol))
-    emit(
-        {
-            "command": "eisenstein eval",
-            "inputs": {"torsion": [str(v) for v in x.u], "l": args.l, "order": x.order},
-            "components": {
-                f"{list(word)}|{list(ext)}": complex(v)
-                for (word, ext), v in sorted(cv.components.items())
-            },
-            "regime": cv.regime,
-            "error_bound": cv.error_bound,
-            "convention_metadata": cv.meta.get("convention"),
-        }
-    )
+    emit(_current_record(cv, "eisenstein eval", {"torsion": [str(v) for v in x.u], "l": args.l, "order": x.order}))
     return 0
 
 
@@ -465,15 +425,9 @@ def cmd_bm_verify(args):
 
 
 def cmd_suite_run(args):
-    from .config import load_config
     from .verify import run_suite
 
-    data = None
-    if args.config:
-        cfg = load_config(args.config)
-        if cfg.lattice_kind != "abelian":
-            raise ConfigError("suite run needs abelian lattice data")
-        data = cfg.data
+    data = abelian_config(args).data if args.config else None
     records = run_suite(data=data, quick=args.quick)
     failures = 0
     for rec in records:
@@ -483,93 +437,76 @@ def cmd_suite_run(args):
     return 0 if failures == 0 else 1
 
 
-# argparse takes "-1,0" for an option, so a negative real part needs the = form
-S_HELP = "re,im; write a negative real part as --s=-1,0"
+# Options that several commands share, by flag; each command names those it takes.
+SHARED_OPTIONS = {
+    # argparse takes "-1,0" for an option, so a negative real part needs the = form
+    "--s": dict(required=True, help="re,im; write a negative real part as --s=-1,0"),
+    "--t": dict(type=positive, required=True),
+    "--u": dict(default=None),
+    "--p": dict(default="1"),
+    "--tol": dict(type=positive, default=None),
+    "--side": dict(default="dual", choices=["dual", "primal"]),
+}
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="polylat", description=__doc__)
-    parser.add_argument("--threads", type=at_least(1), default=None, help="ignored: every command runs in one thread")
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def add(group_parser, name, fn, config=True):
+    def group(name):
+        return sub.add_parser(name).add_subparsers(dest="action", required=True)
+
+    def add(group_parser, name, fn, *options, config=True):
+        """A command with the options given in order: a SHARED_OPTIONS flag, or its own (flag, kwargs)."""
         p = group_parser.add_parser(name)
         if config:
             p.add_argument("config")
+        for option in options:
+            flag, kwargs = (option, SHARED_OPTIONS[option]) if isinstance(option, str) else option
+            p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
         return p
 
-    lat = sub.add_parser("lattice").add_subparsers(dest="action", required=True)
-    add(lat, "info", cmd_lattice_info)
+    add(group("lattice"), "info", cmd_lattice_info)
 
-    th = sub.add_parser("theta").add_subparsers(dest="action", required=True)
-    for name, fn in (("eval", cmd_theta_eval), ("check-transform", cmd_theta_check)):
-        p = add(th, name, fn)
-        p.add_argument("--t", type=positive, required=True)
-        p.add_argument("--u", default=None)
-        p.add_argument("--p", default="1")
-        p.add_argument("--tol", type=positive, default=None)
-        p.add_argument("--side", default="dual", choices=["dual", "primal"])
-        if name == "eval":
-            p.add_argument("--mode", default="auto", choices=["auto", "direct", "transformed"])
-        else:
-            p.add_argument("--threshold", type=positive, default=1e-10)
+    th = group("theta")
+    theta_mode = ("--mode", dict(default="auto", choices=["auto", "direct", "transformed"]))
+    add(th, "eval", cmd_theta_eval, "--t", "--u", "--p", "--tol", "--side", theta_mode)
+    threshold = ("--threshold", dict(type=positive, default=1e-10))
+    add(th, "check-transform", cmd_theta_check, "--t", "--u", "--p", "--tol", "--side", threshold)
 
-    ze = sub.add_parser("zeta").add_subparsers(dest="action", required=True)
-    p = add(ze, "eval", cmd_zeta_eval)
-    p.add_argument("--s", required=True, help=S_HELP)
-    p.add_argument("--u", default=None)
-    p.add_argument("--p", default="1")
-    p.add_argument("--A", dest="split_a", type=positive, default=None)
-    p.add_argument("--mode", default="auto", choices=["direct", "accel", "auto"])
-    p.add_argument("--tol", type=positive, default=None)
-    p.add_argument("--side", default="dual", choices=["dual", "primal"])
-    p = add(ze, "check", cmd_zeta_check)
-    p.add_argument("--s", required=True, help=S_HELP)
-    p.add_argument("--u", default=None)
-    p.add_argument("--p", default="1")
-    p.add_argument("--tol", type=positive, default=None)
-    p.add_argument("--side", default="dual", choices=["dual", "primal"])
-    p = add(ze, "scan", cmd_zeta_scan)
-    p.add_argument("--s", required=True, help=S_HELP)
-    p.add_argument("--p", default="1")
-    p.add_argument("--grid-n", type=at_least(1), default=8)
-    p.add_argument("--fd-step", type=positive, default=0.01)
-    p.add_argument("--tol", type=positive, default=None)
-    p.add_argument("--side", default="dual", choices=["dual", "primal"])
+    ze = group("zeta")
+    split_a = ("--A", dict(dest="split_a", type=positive, default=None))
+    zeta_mode = ("--mode", dict(default="auto", choices=["direct", "accel", "auto"]))
+    add(ze, "eval", cmd_zeta_eval, "--s", "--u", "--p", split_a, zeta_mode, "--tol", "--side")
+    add(ze, "check", cmd_zeta_check, "--s", "--u", "--p", "--tol", "--side")
+    grid_n = ("--grid-n", dict(type=at_least(1), default=8))
+    fd_step = ("--fd-step", dict(type=positive, default=0.01))
+    add(ze, "scan", cmd_zeta_scan, "--s", "--p", grid_n, fd_step, "--tol", "--side")
 
-    cu = sub.add_parser("current").add_subparsers(dest="action", required=True)
-    p = add(cu, "eval", cmd_current_eval)
-    p.add_argument("--u", required=True)
-    p.add_argument("--grade-max", type=int, default=None)
-    p.add_argument("--tol", type=positive, default=None)
-    p = add(cu, "scan", cmd_current_scan)
-    p.add_argument("--grade", type=int, default=2)
-    p.add_argument("--grid-n", type=at_least(1), default=4)
-    p.add_argument("--tol", type=positive, default=None)
+    cu = group("current")
+    u = ("--u", dict(required=True))
+    add(cu, "eval", cmd_current_eval, u, ("--grade-max", dict(type=int, default=None)), "--tol")
+    grid_n = ("--grid-n", dict(type=at_least(1), default=4))
+    add(cu, "scan", cmd_current_scan, ("--grade", dict(type=int, default=2)), grid_n, "--tol")
 
-    ei = sub.add_parser("eisenstein").add_subparsers(dest="action", required=True)
-    p = add(ei, "eval", cmd_eisenstein_eval)
-    p.add_argument("--torsion", required=True, help="p1/N,p2/N,...")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--tol", type=positive, default=None)
+    torsion = ("--torsion", dict(required=True, help="p1/N,p2/N,..."))
+    weight = ("--l", dict(type=int, required=True))
+    nmax = ("--nmax", dict(type=int, default=None))
+    add(group("eisenstein"), "eval", cmd_eisenstein_eval, torsion, weight, nmax, "--tol")
 
-    al = sub.add_parser("algebra").add_subparsers(dest="action", required=True)
-    p = add(al, "verify", cmd_algebra_verify, config=False)
+    p = add(group("algebra"), "verify", cmd_algebra_verify, config=False)
     p.add_argument("--m", type=at_least(1), default=2)
     p.add_argument("--n", type=at_least(0), default=4)
     p.add_argument("--hdim", type=at_least(1), default=2)
     p.add_argument("--nmax", type=at_least(0), default=5)
 
-    bm = sub.add_parser("bm").add_subparsers(dest="action", required=True)
-    p = add(bm, "verify", cmd_bm_verify, config=False)
+    p = add(group("bm"), "verify", cmd_bm_verify, config=False)
     p.add_argument("--d", type=int, default=1, choices=[1, 2])
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--quad", type=int, default=48)
 
-    su = sub.add_parser("suite").add_subparsers(dest="action", required=True)
-    p = add(su, "run", cmd_suite_run, config=False)
+    p = add(group("suite"), "run", cmd_suite_run, config=False)
     p.add_argument("--config", default=None)
     quickness = p.add_mutually_exclusive_group()
     quickness.add_argument("--quick", action="store_true", default=True)

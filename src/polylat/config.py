@@ -42,7 +42,6 @@ class RunConfig:
     frame_q: object = None
     rank: int = 0
     defaults: dict = field(default_factory=dict)
-    path: str = ""
 
     def frame(self, side="dual"):
         if self.lattice_kind == "euclidean":
@@ -137,9 +136,7 @@ def load_config(path):
             if any(abs(x) > sys.float_info.max for row in q for x in row):
                 raise ConfigError("[lattice] q has an entry beyond float range")
             q = [[float(x) for x in row] for row in q]
-        return RunConfig(
-            lattice_kind="euclidean", frame_q=q, rank=rank, defaults=defaults, path=path
-        )
+        return RunConfig(lattice_kind="euclidean", frame_q=q, rank=rank, defaults=defaults)
     if "d" not in lat or "E" not in lat:
         raise ConfigError("[lattice] needs d and E (plus J or period_matrix)")
     d = _exact("[lattice] d", lat["d"], integral=True)
@@ -156,4 +153,4 @@ def load_config(path):
             raise ConfigError(f"[lattice] period_matrix: {exc}") from None
     else:
         raise ConfigError("[lattice] needs J or period_matrix")
-    return RunConfig(lattice_kind="abelian", data=data, rank=2 * d, defaults=defaults, path=path)
+    return RunConfig(lattice_kind="abelian", data=data, rank=2 * d, defaults=defaults)

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import BudgetExceeded, OutOfRange, QuadratureUnstable, ZeroSectionSingularity
-from .lattice import SumLattice, dual_lattice
+from .lattice import SumLattice
 from .polarized import CONVENTION_NOTE
 from .polygauss import VectorPolynomial, linear_form_products
 from .symalg import SymElem, c_n_contraction
@@ -262,7 +262,7 @@ def g_grade(data, u, n, tol=1e-9):
     """
     if n < 2:
         raise OutOfRange("grades start at n = 2")
-    kappa = dual_lattice(data).kappa
+    kappa = abs(data.det_e())
     weights = {a: (-1) ** a * float(coefficient(a, n - a, 0, data.d, kappa)) for a in range(1, n)}
     value = _current(data, u, n, weights, tol)
     value.meta.update(grade=n, kappa=kappa)

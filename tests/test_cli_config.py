@@ -241,8 +241,9 @@ def test_cli_current_and_eisenstein(tmp_path):
         ["zeta", "check", "CFG", "--s", "3,nan"],
         ["zeta", "scan", "CFG", "--s", "nan,0"],
         pytest.param(["theta", "eval", "CFG", "--t", "1.0", "--p", '{"0,0": [1' + "0" * 400 + "]}"], id="--p 10^400"),
-        pytest.param(["--threads", "0", "lattice", "info", "CFG"], id="--threads 0"),
-        pytest.param(["--threads", "-2", "lattice", "info", "CFG"], id="--threads -2"),
+        ["zeta", "eval", "CFG", "--s", "3,0,5", "--mode", "accel"],
+        ["zeta", "eval", "CFG", "--s", "3,0,5", "--mode", "direct"],
+        ["zeta", "scan", "CFG", "--s", "2,0,1"],
     ],
     ids=lambda argv: " ".join(a for a in argv[2:] if a != "CFG"),
 )
@@ -251,6 +252,31 @@ def test_cli_malformed_input_exit2(tmp_path, capsys, argv):
     assert main([path if a == "CFG" else a for a in argv]) == 2
     rec = json.loads(capsys.readouterr().err)
     assert rec["error"] == "CONFIG_ERROR"
+
+
+def test_cli_threads_is_a_usage_error():
+    proc = run_cli("--threads", "1", "lattice", "info", str(CONFIGS / "tau_i.cfg"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: polylat") and "polylat: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "eval", "--t", "0.7"],
+        ["theta", "check-transform", "--t", "0.7"],
+        ["zeta", "eval", "--s", "3,0"],
+        ["zeta", "check", "--s", "3,0"],
+        ["zeta", "scan", "--s", "3,0", "--grid-n", "2"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_cli_frame_commands_take_shared_options(argv):
+    proc = run_cli(*argv[:2], str(CONFIGS / "tau_i.cfg"), *argv[2:], "--side", "primal", "--tol", "1e-8", "--p", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 @pytest.mark.parametrize("line", ["tol = 0", "tol = -1e-10", "split_a = 0", "A = -2", 'tol = "abc"', "split_a = [1]"])
