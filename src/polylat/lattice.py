@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 import math
+import weakref
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from . import ratlin
 from .errors import ConventionViolation, NotInDualLattice, ShellTooLarge
 # DualLattice and PolarizedAbelianData are re-exported: callers import them from here
 from .polarized import DualLattice, PolarizedAbelianData, _to_float_matrix, dual_lattice
-from .polygauss import dual_form
+from .polygauss import dual_form, gaussian_ft
 
 SNAP_TOL = 1e-12  # floats this close to a lattice point are snapped onto it
 
@@ -78,8 +79,8 @@ class SumLattice:
     Q(x) = x^T M x, ambient pairing B for characters, the pairing-dual
     lattice basis, and the volume normalization that makes this frame's
     covolume equal 1 (the Poisson identity is exact in that volume).
-    `geometry` and `dual_geometry` hold the Gram factors of the direct
-    sums and of the dual sums, computed once per frame.
+    `geometry` and `dual_geometry` hold the Gram factors of the direct and
+    the dual sums, once per frame; `transform` each live P's Gaussian transform.
     """
 
     def __init__(self, basis, q_mat, pairing, dual_basis, data=None):
@@ -100,6 +101,7 @@ class SumLattice:
         self.dual_form = dual_form(self.q_mat, self.pairing)
         self.geometry = Geometry(self.gram, self.q_mat)
         self.dual_geometry = Geometry(self.dual_basis.T @ self.dual_form @ self.dual_basis, self.dual_form)
+        self._transforms = weakref.WeakKeyDictionary()
 
     # -- constructors -------------------------------------------------------
 
@@ -178,8 +180,11 @@ class SumLattice:
     def dual_centers(self, us):
         """Row k: c_k = -V^{-1} h_k, h_k the reduced point of us[k] and V the
         dual basis.  The dual points of u_k are w = V (m - c_k), m integral."""
-        hs = np.array([self.reduce_point(u) for u in us])
-        return -np.linalg.solve(self.dual_basis, hs.T).T
+        return self.reduced_centers([self.reduce_point(u) for u in us])
+
+    def reduced_centers(self, hs):
+        """dual_centers of points hs already reduced by reduce_point."""
+        return -np.linalg.solve(self.dual_basis, np.array(hs).T).T
 
     @cached_property
     def torus_geometry(self):
@@ -191,8 +196,19 @@ class SumLattice:
         the dual center c_k is integral within SNAP_TOL per coordinate (u in
         Z^rank on dual and Euclidean frames, in the dual lattice on primal
         ones).  Then one dual point is w = 0."""
-        c = self.dual_centers(us)
-        return np.all(np.abs(c - np.round(c)) < SNAP_TOL, axis=1)
+        return integral_rows(self.dual_centers(us))
+
+    def transform(self, P):
+        """gaussian_ft of P on this frame, built on first use and kept while P
+        lives: P must not be changed after its first transform."""
+        if P not in self._transforms:
+            self._transforms[P] = gaussian_ft(P, self.q_mat, pairing=self.pairing, vol_scale=self.vol_scale)
+        return self._transforms[P]
+
+
+def integral_rows(c):
+    """Row k: True when every coordinate of c[k] is within SNAP_TOL of an integer."""
+    return np.all(np.abs(c - np.round(c)) < SNAP_TOL, axis=1)
 
 
 # box_shell is unused: it stays because bench/tracing.py wraps it

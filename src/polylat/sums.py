@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .incgamma import upper_gamma_bound
-from .lattice import ellipsoid_chunks, ellipsoid_radius, shell_point_count
+from .lattice import ellipsoid_chunks, ellipsoid_radius, integral_rows, shell_point_count
 
 _CHUNK = 1 << 16  # entries of a chunk's coordinates plus its monomial table, and of a (points u) x (lattice points) array
 
@@ -118,29 +118,45 @@ def power_tail(R, *, rank, sqrt_det, cell_radius, s_re, amps, decay=0.0):
     by upper_gamma_bound.  Infinite where the bound does not apply, or
     leaves double range.
     """
-    tau0 = math.sqrt(R) - 2.0 * cell_radius
-    if tau0 <= 0 or math.inf in amps:
-        return math.inf
-    x0 = decay * tau0 * tau0
-    total = 0.0
+    return _power_tail(rank, sqrt_det, cell_radius, s_re, amps, decay)(R)
+
+
+def _power_tail(rank, sqrt_det, cell_radius, s_re, amps, decay):
+    """R -> power_tail(R, ...): its R-free constants computed once, its float operations in their order."""
+    terms = []  # per nonzero amp k and j < rank: k - 2 s_re, amp C(r-1, j) D^(r-1-j), p, 2 decay^(p/2)
     for k, amp in enumerate(amps):
-        if amp == 0:
-            continue
-        if k - 2.0 * s_re > 2.0 * x0:  # f is not yet decreasing at tau0
-            return math.inf
-        for j in range(rank):
+        for j in range(rank if amp != 0 else 0):
             p = j + k + 1 - 2.0 * s_re
+            try:
+                divisor = 2.0 * decay ** (p / 2) if decay > 0 else None
+            except OverflowError:
+                divisor = 0.0  # dividing by it raises, so the tail is inf as the overflow made it
+            terms.append((k - 2.0 * s_re, amp * math.comb(rank - 1, j) * cell_radius ** (rank - 1 - j), p, divisor))
+    front = 2.0 * math.pi ** (rank / 2) / math.gamma(rank / 2) / sqrt_det
+    infinite = math.inf in amps
+
+    def tail(R):
+        tau0 = math.sqrt(R) - 2.0 * cell_radius
+        if tau0 <= 0 or infinite:
+            return math.inf
+        x0 = decay * tau0 * tau0
+        total = 0.0
+        for lead, coef, p, divisor in terms:
+            if lead > 2.0 * x0:  # f is not yet decreasing at tau0
+                return math.inf
             if decay > 0:
                 try:
-                    part = upper_gamma_bound(p / 2, x0) / (2.0 * decay ** (p / 2))
+                    part = upper_gamma_bound(p / 2, x0) / divisor
                 except (OverflowError, ZeroDivisionError):
                     return math.inf
             elif p >= 0 or p * math.log(tau0) > 700:  # divergent, or beyond float range
                 return math.inf
             else:
                 part = tau0**p / -p
-            total += amp * math.comb(rank - 1, j) * cell_radius ** (rank - 1 - j) * part
-    return 2.0 * math.pi ** (rank / 2) / math.gamma(rank / 2) / sqrt_det * total
+            total += coef * part
+        return front * total
+
+    return tail
 
 
 def solve_radius(tail, tol, geom, points, what):
@@ -149,7 +165,7 @@ def solve_radius(tail, tol, geom, points, what):
     tail must not increase with R.  R is sought between 4 D^2 (below which
     every integral-comparison tail is infinite; D is the cell_radius of the
     Geometry geom) and the ellipsoid_radius of `points` points, by
-    bisecting log R; that takes about 15 evaluations of tail.
+    bisecting log R; that takes about 14 evaluations of tail.
     BudgetExceeded if even the largest radius does not certify tol.
     """
     hi = ellipsoid_radius(geom, points)
@@ -175,9 +191,8 @@ def _tail(geom, monomials, s_re, decay=0.0, r_min=0.0):
     amps = [0.0] * (1 + max((sum(alpha) for alpha, _vec, _scale in monomials), default=0))
     for alpha, vec, scale in monomials:
         amps[sum(alpha)] += scale * float(np.max(np.abs(vec))) * grow ** sum(alpha)
-    return lambda R: math.inf if R < r_min else power_tail(
-        R, rank=geom.rank, sqrt_det=geom.sqrt_det, cell_radius=geom.cell_radius, s_re=s_re, amps=amps, decay=decay
-    )
+    tail = _power_tail(geom.rank, geom.sqrt_det, geom.cell_radius, s_re, amps, decay)
+    return lambda R: math.inf if R < r_min else tail(R)
 
 
 def _paired_sum(frame, P, us, R, weight):
@@ -189,7 +204,7 @@ def _paired_sum(frame, P, us, R, weight):
     chunk; the characters per block of points u, chunk x block at most _CHUNK.
     """
     chars = [(frame.reduce_point(u), frame.phase_data(u)) for u in us]
-    trivial = frame.on_zero_section(us).all()  # every character is 1
+    trivial = integral_rows(frame.reduced_centers([h for h, _phase in chars])).all()  # every character is 1
     constant = P.degree == 0
     # P(-y) from the table at y: each monomial's sign is (-1)^|alpha|
     minus = P.matrix * (-1.0) ** P.exponents.sum(axis=1)[:, None]
@@ -264,8 +279,8 @@ def _dual_sum(frame, gf, us, R, radial, radial0, *, budget, what):
     monomials is at most _CHUNK.
     """
     V, geom = frame.dual_basis, frame.dual_geometry
-    zero = frame.on_zero_section(us)
     centers = frame.dual_centers(us)
+    zero = integral_rows(centers)  # the points on the zero section
     centers[zero] = np.round(centers[zero])
     centers -= np.round(centers)
     mean = centers.mean(axis=0)

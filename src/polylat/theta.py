@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from .polygauss import gaussian_ft
 from .sums import _dual_sum, _dual_tail, _paired_sum, _tail, solve_radius
 
 POINT_BUDGET = 1e7  # points that either side of a theta sum may visit
@@ -53,12 +52,12 @@ def theta_transformed(frame, P, u, t, tol=1e-12, threads=None):
     """Sum the Poisson-transformed side over the dual points w with
     Qdual(w) <= R, the prefactor-scaled Gaussian tail certifying tol.
 
-    gf is built without the shift: _dual_sum centres each point itself.
+    gf is frame.transform(P), built without the shift: _dual_sum centres each point itself.
     """
     # threads is unused: it stays because bench/workloads.py passes threads=1
     if t <= 0 or tol <= 0:
         raise ValueError("t and tol must be positive")
-    gf = gaussian_ft(P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
+    gf = frame.transform(P)
     prefactor = gf.disc_factor * t**gf.prefactor_exponent
     dual_tail = _dual_tail(frame, gf, lambda m: t**-m, 0.0, decay=math.pi**2 / t)
     tail = lambda R: prefactor * dual_tail(R)

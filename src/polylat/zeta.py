@@ -25,8 +25,7 @@ from .errors import (
     ZeroSectionSingularity,
 )
 from .incgamma import rgamma, upper_gamma
-from .lattice import ellipsoid_chunks, ellipsoid_radius
-from .polygauss import gaussian_ft
+from .lattice import ellipsoid_chunks, ellipsoid_radius, integral_rows
 from .sums import _dual_sum, _dual_tail, _paired_sum, _tail, solve_radius
 
 POINT_BUDGET = 2e9  # points a direct sum may visit; the rank-2 s = 2 regime check needs ~1.2e9
@@ -141,7 +140,7 @@ def _gamma_k(frame, P, us, s, A, piece_tol):
     R_i = solve_radius(tail_i, piece_tol, frame.geometry, GAMMA_POINT_BUDGET, "accelerated zeta (direct piece)")
 
     # the transformed polynomial does not depend on the shift h
-    gf = gaussian_ft(P, frame.q_mat, pairing=frame.pairing, vol_scale=frame.vol_scale)
+    gf = frame.transform(P)
     rhos = {m: half + m - s for m in gf.by_tpower}
 
     def mellin_at_zero(m):  # the radial factor at Qdual = 0: int_0^A t^(s - r/2 - m - 1) dt
@@ -226,9 +225,10 @@ def kzeta(frame, P, u, s, mode="auto", split_a=1.0, tol=1e-10):
 def torus_distance(frame, u):
     """Distance from u to the zero section (ambient coordinates): the least
     |w| over the dual points w = V (m - c) of u, 0 on the zero section."""
-    if frame.on_zero_section([u])[0]:
+    c = frame.dual_centers([u])
+    if integral_rows(c)[0]:
         return 0.0
-    V, geom, c = frame.dual_basis, frame.torus_geometry, frame.dual_centers([u])[0]
+    V, geom, c = frame.dual_basis, frame.torus_geometry, c[0]
     # round(c) is within cell_radius of c, so that ellipsoid holds the nearest m
     ms = np.vstack([ms for ms, _q in ellipsoid_chunks(geom, geom.cell_radius**2, center=c)])
     return float(np.min(np.linalg.norm((ms - c) @ V.T, axis=1)))

@@ -8,10 +8,10 @@ import pytest
 
 from polylat import PolarizedAbelianData, SumLattice
 from polylat.errors import BudgetExceeded
-from polylat.incgamma import upper_gamma
-from polylat.lattice import ellipsoid_chunks, ellipsoid_radius
+from polylat.incgamma import upper_gamma, upper_gamma_bound
+from polylat.lattice import Geometry, ellipsoid_chunks, ellipsoid_radius
 from polylat.polygauss import VectorPolynomial, gaussian_ft
-from polylat.sums import power_tail
+from polylat.sums import _tail, power_tail, solve_radius
 from polylat.theta import theta_direct, theta_transformed
 from polylat import lattice, sums, theta, zeta
 from polylat.zeta import kzeta_accelerated, kzeta_direct
@@ -53,7 +53,7 @@ def test_direct_piece_budget_before_gaussian_transform(monkeypatch):
     def no_transform(*args, **kwargs):
         raise AssertionError("transformed before the direct budget check")
 
-    monkeypatch.setattr(zeta, "gaussian_ft", no_transform)
+    monkeypatch.setattr(lattice, "gaussian_ft", no_transform)  # the name SumLattice.transform calls
     with pytest.raises(BudgetExceeded, match="^" + re.escape("accelerated zeta (direct piece): ")):
         kzeta_accelerated(_tau_i(), _P, _U, 3.0, split_a=1e-9)
 
@@ -233,3 +233,85 @@ def test_gamma_dual_tail_covers_exact_remainder(tau, s, A, u):
             checked += 1
             assert f[q > R].sum() <= bound, (R, f[q > R].sum(), bound)
     assert checked >= 3
+
+
+def _per_call_power_tail(R, *, rank, sqrt_det, cell_radius, s_re, amps, decay=0.0):
+    """power_tail as one loop that recomputes every constant on each call:
+    the reference that the constants computed once per tail must match."""
+    tau0 = math.sqrt(R) - 2.0 * cell_radius
+    if tau0 <= 0 or math.inf in amps:
+        return math.inf
+    x0 = decay * tau0 * tau0
+    total = 0.0
+    for k, amp in enumerate(amps):
+        if amp == 0:
+            continue
+        if k - 2.0 * s_re > 2.0 * x0:  # f is not yet decreasing at tau0
+            return math.inf
+        for j in range(rank):
+            p = j + k + 1 - 2.0 * s_re
+            if decay > 0:
+                try:
+                    part = upper_gamma_bound(p / 2, x0) / (2.0 * decay ** (p / 2))
+                except (OverflowError, ZeroDivisionError):
+                    return math.inf
+            elif p >= 0 or p * math.log(tau0) > 700:  # divergent, or beyond float range
+                return math.inf
+            else:
+                part = tau0**p / -p
+            total += amp * math.comb(rank - 1, j) * cell_radius ** (rank - 1 - j) * part
+    return 2.0 * math.pi ** (rank / 2) / math.gamma(rank / 2) / sqrt_det * total
+
+
+def _monomial_sets(r):
+    """Monomial lists of rank r: constant; degree 2 only (amps with zeros);
+    degrees 0 and 3; and one with an infinite scale."""
+    e = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    two = tuple(2 * x for x in e[0])
+    three = tuple(a + b + c for a, b, c in zip(e[0], e[-1], e[-1]))
+    return [
+        [((0,) * r, [1.0], 1.0)],
+        [(two, [0.5 + 1j], 1.0), (tuple(a + b for a, b in zip(e[0], e[-1])), [0.3], 2.0)],
+        [((0,) * r, [2.0], 0.7), (three, [1.0j], 1.0)],
+        [((0,) * r, [1.0], 1.0), (two, [1.0], math.inf)],
+    ]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
+def test_tail_matches_per_call_formula(rank):
+    # every constant of a tail is computed once; each value, and so each
+    # bisection step of solve_radius, must equal the per-call loop exactly
+    rng = np.random.default_rng(rank)
+    a = rng.normal(size=(rank, rank))
+    geom = Geometry(a @ a.T + 0.5 * np.eye(rank))
+    lo = 4.0 * geom.cell_radius**2
+    radii = [0.25 * lo, lo] + list(lo * np.geomspace(1.001, 1e6, 40)) + [1e12, 1e300]
+    seen = set()
+    for monomials in _monomial_sets(rank):
+        grow = 1.0 / math.sqrt(geom.lam_min)
+        amps = [0.0] * (1 + max(sum(alpha) for alpha, _vec, _scale in monomials))
+        for alpha, vec, scale in monomials:
+            amps[sum(alpha)] += scale * float(np.max(np.abs(vec))) * grow ** sum(alpha)
+        for s_re in (0.0, 1.0, 2.5):
+            for decay in (0.0, 0.7, math.pi**2 / 0.5, 1e-300, 1e300):
+                for r_min in (0.0, 3.0 * lo):
+                    tail = _tail(geom, monomials, s_re, decay=decay, r_min=r_min)
+                    consts = dict(rank=rank, sqrt_det=geom.sqrt_det, cell_radius=geom.cell_radius, s_re=s_re, amps=amps)
+
+                    def reference(R):
+                        return math.inf if R < r_min else _per_call_power_tail(R, **consts, decay=decay)
+
+                    for R in radii:
+                        want = reference(R)
+                        assert tail(R) == want, (monomials, s_re, decay, r_min, R)
+                        assert power_tail(R, **consts, decay=decay) == _per_call_power_tail(R, **consts, decay=decay)
+                        seen.add("inf" if want == math.inf else "zero" if want == 0 else "finite")
+                    for tol in (1e-13, 1e-6):
+                        try:
+                            want = solve_radius(reference, tol, geom, 1e7, "tail")
+                        except BudgetExceeded:
+                            with pytest.raises(BudgetExceeded):
+                                solve_radius(tail, tol, geom, 1e7, "tail")
+                        else:
+                            assert solve_radius(tail, tol, geom, 1e7, "tail") == want
+    assert seen == {"inf", "zero", "finite"}

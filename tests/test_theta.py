@@ -1,4 +1,5 @@
 from fractions import Fraction
+import gc
 import itertools
 import math
 import time
@@ -7,11 +8,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from polylat import PolarizedAbelianData, SumLattice
+from polylat import PolarizedAbelianData, SumLattice, lattice
 from polylat.errors import BudgetExceeded
 from polylat.polygauss import VectorPolynomial
 from polylat.theta import theta_direct, theta_eval, theta_transformed
 from polylat.verify import random_abelian_data
+from polylat.zeta import kzeta_accelerated
 
 
 def jacobi_oracle():
@@ -219,3 +221,34 @@ def test_transform_law_primal_side_kappa4():
         a = theta_direct(frame, P, u, t, tol=1e-13)
         b = theta_transformed(frame, P, u, t, tol=1e-13)
         assert abs(a.scalar() - b.scalar()) <= 1e-10 * max(abs(a.scalar()), 1e-30)
+
+
+def test_transform_built_once_per_polynomial_and_frame(monkeypatch):
+    calls = []
+    real_ft = lattice.gaussian_ft  # the name SumLattice.transform calls
+    monkeypatch.setattr(lattice, "gaussian_ft", lambda *a, **k: calls.append(1) or real_ft(*a, **k))
+    data = PolarizedAbelianData.from_tau(Fraction(1, 4), Fraction(5, 4))
+    frame = SumLattice.from_abelian(data, "dual")
+    P = VectorPolynomial(2, {(2, 0): [1.0], (1, 1): [0.5j]})
+    cases = [((0.3, 0.1), 0.7), ((Fraction(1, 2), Fraction(1, 4)), 1.3), ((0.3, 0.1), 0.7)]
+    thetas = [theta_transformed(frame, P, u, t, tol=1e-12) for u, t in cases]
+    assert len(calls) == 1
+    zetas = [kzeta_accelerated(frame, P, (0.3, 0.1), 2.5, split_a=A) for A in (0.5, 1.0, 2.0)]
+    assert len(calls) == 1
+    Q = VectorPolynomial.constant(1.0, 2)
+    for _ in range(2):
+        theta_transformed(frame, Q, (0.3, 0.1), 0.7, tol=1e-12)
+    assert len(calls) == 2
+    # a fresh frame builds its own transform and gives the same values bit for bit
+    fresh = SumLattice.from_abelian(data, "dual")
+    for (u, t), res in zip(cases, thetas):
+        again = theta_transformed(fresh, P, u, t, tol=1e-12)
+        assert np.array_equal(again.value, res.value) and again.tail_bound == res.tail_bound
+    for A, res in zip((0.5, 1.0, 2.0), zetas):
+        again = kzeta_accelerated(fresh, P, (0.3, 0.1), 2.5, split_a=A)
+        assert np.array_equal(again.value, res.value) and again.error_bound == res.error_bound
+    assert len(calls) == 3
+    assert len(frame._transforms) == 2
+    del P, Q
+    gc.collect()
+    assert len(frame._transforms) == 0 and len(fresh._transforms) == 0

@@ -17,7 +17,7 @@ from polylat.errors import (
 )
 from polylat.polygauss import VectorPolynomial
 from polylat.verify import random_abelian_data
-from polylat import sums, zeta
+from polylat import lattice, sums, zeta
 from polylat.zeta import (
     kzeta,
     kzeta_accelerated,
@@ -321,8 +321,8 @@ def test_batch_matches_single_points(which, chunk, monkeypatch):
 def test_scan_is_one_batch(tau_i_frame, monkeypatch):
     # the Gaussian transform and both radii are computed once per scan
     calls = []
-    real_ft = zeta.gaussian_ft
-    monkeypatch.setattr(zeta, "gaussian_ft", lambda *a, **k: calls.append(1) or real_ft(*a, **k))
+    real_ft = lattice.gaussian_ft  # the name SumLattice.transform calls
+    monkeypatch.setattr(lattice, "gaussian_ft", lambda *a, **k: calls.append(1) or real_ft(*a, **k))
     P = VectorPolynomial.constant(1.0, 2)
     rows = smoothness_scan(tau_i_frame, P, 2.0, [(0.31, 0.43), (0.5, 0.25)], fd_step=0.008, tol=1e-12)
     assert len(calls) == 1
