@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 from .errors import BudgetExceeded, OutOfRange, QuadratureUnstable, ZeroSectionSingularity
-from .lattice import SumLattice
 from .polarized import CONVENTION_NOTE
 from .polygauss import VectorPolynomial, linear_form_products
 from .symalg import SymElem, c_n_contraction
@@ -170,8 +169,9 @@ def _contraction_quadratics(data):
 
 
 def _dual_frame(data, u):
-    """The dual summation frame of data, once u is checked to lie off the zero section."""
-    frame = SumLattice.from_abelian(data, side="dual")
+    """The dual summation frame of data (one per data object), once u is
+    checked to lie off the zero section."""
+    frame = data.dual_frame
     if frame.on_zero_section([u])[0]:
         raise ZeroSectionSingularity("g_{a,b} is singular on the zero section")
     return frame

@@ -7,12 +7,13 @@ span and an integral alternating pairing E.  The pairing convention is
 fixes the orientation used by every downstream sign.
 
 J and E are kept exact (Fraction / int matrices); floats only enter at
-evaluation time, so this module imports numpy only inside its float
-helpers.
+evaluation time, so this module imports numpy and `lattice` only inside
+its float helpers.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 import math
 
 from . import ratlin
@@ -159,6 +160,15 @@ class PolarizedAbelianData:
 
     def det_e(self):
         return self._det_e
+
+    @cached_property
+    def dual_frame(self):
+        """lattice.SumLattice.from_abelian(self, "dual"): the frame of every
+        current and Eisenstein sum, built on first use and kept while this
+        datum lives."""
+        from .lattice import SumLattice
+
+        return SumLattice.from_abelian(self, side="dual")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,19 @@
 """Small exact linear algebra over Fraction matrices (lists of lists).
 
 Matrices here are tiny (rank <= 8), so plain Gaussian elimination with
-exact rational pivots is both fast enough and certifiable; the rank test,
-which also sees the larger psi matrices, eliminates fraction-free on ints.
+exact rational pivots is both fast enough and certifiable.  The rank
+test, which also sees the larger psi matrices, runs on Python ints: an
+elimination mod the prime 2^61 - 1 certifies a full rank at once, and any
+lower rank mod p is recomputed exactly over Q by fraction-free (Bareiss)
+elimination.  `exact` is the form of the rationals of `symalg` and
+`torus`: a Python int when integral, a Fraction otherwise.
 """
 
 from fractions import Fraction
 import math
+
+# a Mersenne prime: the modulus of the rank certificate
+RANK_PRIME = 2**61 - 1
 
 
 def frac_matrix(rows):
@@ -29,6 +36,18 @@ def as_fraction(x):
             raise ValueError(f"refusing to coerce non-integral float {x!r} to Fraction")
         return Fraction(int(x))
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
+
+
+def exact(x):
+    """An exact rational as a Python int when integral, else as a Fraction.
+
+    Fraction(n) == n with equal hashes, so dicts, equality and repr do not
+    see the difference; int arithmetic and hashing are much cheaper.
+    """
+    if type(x) is int:
+        return x
+    x = as_fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def identity(n):
@@ -93,20 +112,59 @@ def inverse(a):
 
 
 def rank(a):
-    """Exact rank over the rationals by fraction-free (Bareiss) elimination.
+    """Exact rank over the rationals of an int or Fraction matrix.
 
     Each row is first scaled by the lcm of its denominators, which keeps
-    the rank, so int and Fraction input both run on Python ints.  Every
-    update is a 2x2 minor divided by the previous pivot; by Sylvester's
-    identity that division is exact (Bareiss, Math. Comp. 22, 1968), so
-    the entries stay minors of the input and never turn into fractions.
+    the rank, so the work runs on Python ints.  The rank mod p = 2^61 - 1
+    is a lower bound of the rank over Q: a minor that is nonzero mod p is
+    a nonzero integer.  So a full rank mod p is the rank, and is returned
+    at once; any lower rank mod p (the prime may divide every maximal
+    minor) falls back to the exact Bareiss elimination.
     """
     m = []
     for row in a:
-        den = math.lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
+        if any(type(x) is not int for x in row):
+            den = math.lcm(*(x.denominator for x in row))
+            row = [x.numerator * (den // x.denominator) for x in row]
+        m.append(row)
     if not m:
         return 0
+    r = _rank_mod_p(m)
+    return r if r == min(len(m), len(m[0])) else _bareiss_rank(m)
+
+
+def _rank_mod_p(m):
+    """Rank of the int matrix m over the field Z / RANK_PRIME, by Gaussian
+    elimination on the columns right of each pivot."""
+    p = RANK_PRIME
+    rows = [[x % p for x in row] for row in m]
+    nrows, ncols = len(rows), len(rows[0])
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        top = [x * inv % p for x in rows[r][col + 1 :]]
+        for i in range(r + 1, nrows):
+            f = rows[i][col]
+            if f:
+                rows[i][col + 1 :] = [(x - f * y) % p for x, y in zip(rows[i][col + 1 :], top)]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def _bareiss_rank(m):
+    """Exact rank of the int matrix m by fraction-free (Bareiss) elimination.
+
+    Every update is a 2x2 minor divided by the previous pivot; by
+    Sylvester's identity that division is exact (Bareiss, Math. Comp. 22,
+    1968), so the entries stay minors of the input and never turn into
+    fractions.  The rows of m are replaced, never changed.
+    """
     nrows, ncols = len(m), len(m[0])
     r, prev = 0, 1
     for col in range(ncols):

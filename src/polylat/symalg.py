@@ -1,11 +1,14 @@
 """Exact rational verification of the group-algebra / symmetric-power ladder.
 
-Everything here is a theorem, so everything is exact big-rational: no
-floats anywhere.  The pieces: truncated group algebras Q[Z^m]/a^n with a
-the augmentation ideal, the diagonal-power map psi on group elements, the
-bar-complex cocycle gamma = delta(1), the contraction c_n(chi), and the
-corrected trivialization ladder theta_n = psi_n o alpha_n with
-alpha_n^k = n!/(n-k)!.
+Everything here is a theorem, so everything is exact: no floats
+anywhere.  Rationals are Python ints where integral and Fractions
+otherwise (`ratlin.exact`), and the rank behind the bijectivity of psi
+is certified mod a prime with an exact fallback (`ratlin.rank`).  The
+pieces: truncated group algebras Q[Z^m]/a^n with a the augmentation
+ideal, the diagonal-power map psi on group elements, the bar-complex
+cocycle gamma = delta(1), the contraction c_n(chi), and the corrected
+trivialization ladder theta_n = psi_n o alpha_n with alpha_n^k =
+n!/(n-k)!.
 """
 
 from fractions import Fraction
@@ -19,19 +22,28 @@ DIM_CAP = 4000
 
 
 class GroupAlgElem:
-    """Element of Q[Z^m]/a^n stored on monomials in Y_i = X_i - 1, deg < n."""
+    """Element of Q[Z^m]/a^n stored on monomials in Y_i = X_i - 1, deg < n.
+
+    Coefficients are exact rationals in the form of `ratlin.exact`: ints
+    where integral, Fractions otherwise.
+    """
 
     def __init__(self, m, n, coeffs=None):
         self.m = int(m)
         self.n = int(n)  # truncation modulus: degrees <= n-1 survive
-        self.coeffs = {}
-        if coeffs:
-            for alpha, c in coeffs.items():
-                alpha = tuple(int(a) for a in alpha)
-                c = Fraction(c)
-                if sum(alpha) < self.n and c:
-                    self.coeffs[alpha] = self.coeffs.get(alpha, Fraction(0)) + c
-            self.coeffs = {a: c for a, c in self.coeffs.items() if c}
+        out = {}
+        for alpha, c in (coeffs or {}).items():
+            alpha = tuple(int(a) for a in alpha)
+            if sum(alpha) < self.n and c:
+                out[alpha] = out.get(alpha, 0) + ratlin.exact(c)
+        self.coeffs = _nonzero(out)
+
+    def _like(self, coeffs):
+        """An element of this algebra on truncated int and Fraction
+        coefficients: their zeros are dropped, integral Fractions made ints."""
+        out = object.__new__(GroupAlgElem)
+        out.m, out.n, out.coeffs = self.m, self.n, _nonzero(coeffs)
+        return out
 
     @classmethod
     def one(cls, m, n):
@@ -47,30 +59,32 @@ class GroupAlgElem:
     def __add__(self, other):
         out = dict(self.coeffs)
         for a, c in other.coeffs.items():
-            out[a] = out.get(a, Fraction(0)) + c
-        return GroupAlgElem(self.m, self.n, out)
+            out[a] = out.get(a, 0) + c
+        return self._like(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
-        return GroupAlgElem(self.m, self.n, {a: v * c for a, v in self.coeffs.items()})
+        c = ratlin.exact(c)
+        return self._like({a: v * c for a, v in self.coeffs.items()})
 
     def __mul__(self, other):
+        n = self.n
         out = {}
         for a1, c1 in self.coeffs.items():
+            d1 = sum(a1)
             for a2, c2 in other.coeffs.items():
-                a = tuple(x + y for x, y in zip(a1, a2))
-                if sum(a) < self.n:
-                    out[a] = out.get(a, Fraction(0)) + c1 * c2
-        return GroupAlgElem(self.m, self.n, out)
+                if d1 + sum(a2) < n:
+                    a = tuple(x + y for x, y in zip(a1, a2))
+                    out[a] = out.get(a, 0) + c1 * c2
+        return self._like(out)
 
     def __eq__(self, other):
         return self.m == other.m and self.n == other.n and self.coeffs == other.coeffs
 
     def augmentation(self):
-        return self.coeffs.get((0,) * self.m, Fraction(0))
+        return self.coeffs.get((0,) * self.m, 0)
 
     def degree_part(self, deg):
         return {a: c for a, c in self.coeffs.items() if sum(a) == deg}
@@ -78,22 +92,26 @@ class GroupAlgElem:
     @classmethod
     def group_element(cls, m, n, g):
         """X^g = prod (1 + Y_i)^{g_i}; negative powers via geometric series."""
-        out = cls.one(m, n)
+        one = cls.one(m, n)
+        out = one
         for i, gi in enumerate(g):
             y = cls.generator(m, n, i)
             if gi >= 0:
-                for _ in range(gi):
-                    out = out * (cls.one(m, n) + y)
+                factor = one + y
             else:
                 # (1 + Y)^{-1} = sum_{j < n} (-Y)^j, truncated
-                inv = cls.one(m, n)
-                term = cls.one(m, n)
+                factor = term = one
                 for _ in range(1, n):
                     term = term * y.scale(-1)
-                    inv = inv + term
-                for _ in range(-gi):
-                    out = out * inv
+                    factor = factor + term
+            for _ in range(abs(gi)):
+                out = out * factor
         return out
+
+
+def _nonzero(coeffs):
+    """coeffs without its zeros, every value in the form of `ratlin.exact`."""
+    return {a: ratlin.exact(c) for a, c in coeffs.items() if c}
 
 
 def gamma_map(m, g):
@@ -103,7 +121,7 @@ def gamma_map(m, g):
         if gi:
             alpha = [0] * m
             alpha[i] = 1
-            out[tuple(alpha)] = Fraction(gi)
+            out[tuple(alpha)] = gi
     return out
 
 
@@ -140,14 +158,22 @@ class SymElem:
                     self.coeffs[w] = self.coeffs.get(w, 0) + c
             self.coeffs = {w: c for w, c in self.coeffs.items() if c != 0}
 
+    @classmethod
+    def _of(cls, dim, degree, coeffs):
+        """From coefficients on sorted words of length degree: drops the zeros."""
+        out = object.__new__(cls)
+        out.dim, out.degree = dim, degree
+        out.coeffs = {w: c for w, c in coeffs.items() if c != 0}
+        return out
+
     def __add__(self, other):
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
             out[w] = out.get(w, 0) + c
-        return SymElem(self.dim, self.degree, out)
+        return SymElem._of(self.dim, self.degree, out)
 
     def scale(self, c):
-        return SymElem(self.dim, self.degree, {w: v * c for w, v in self.coeffs.items()})
+        return SymElem._of(self.dim, self.degree, {w: v * c for w, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return (
@@ -194,29 +220,40 @@ def c_n_contraction(chi, elem):
     for word, coef in elem.coeffs.items():
         for rest, w in contract_word(chi, word).items():
             out[rest] = out.get(rest, 0) + coef * w
-    return SymElem(elem.dim, elem.degree - 1, out)
+    return SymElem._of(elem.dim, elem.degree - 1, out)
 
 
 # ---------------------------------------------------------------------------
 # psi and the ladder
 
 
-def _psi_on_group_element(m, n, beta):
+def _multinomial_table(m, n):
+    """Per sorted word of length n over (1, Y_1, ..., Y_m), in the order of
+    sym_words(m + 1, n): n! / prod(count!) and the counts of Y_1..Y_m."""
+    table = []
+    for word in itertools.combinations_with_replacement(range(m + 1), n):
+        counts = [word.count(letter) for letter in range(m + 1)]
+        coef = math.factorial(n) // math.prod(math.factorial(c) for c in counts)
+        table.append((coef, counts[1:]))
+    return table
+
+
+def _psi_on_group_element(table, beta):
     """psi^{(n)}(X^beta) = [cls(X^beta)]^{(x) n} in Sym^n(Q[Z^m]/a^2).
 
     cls(X^beta) = 1 + sum beta_i Y_i with coordinates on the basis
     (1, Y_1, ..., Y_m); the n-th symmetric power expands multinomially on
-    sorted words, so every coefficient is an integer: n! / prod(count!)
-    times prod(beta_i ** count_i).
+    sorted words, so every coefficient is an integer: the word's entry of
+    table (_multinomial_table) times prod(beta_i ** count_i).  Returns the
+    nonzero (word index, coefficient) pairs.
     """
-    coords = (1, *beta)
-    out = {}
-    for word in itertools.combinations_with_replacement(range(m + 1), n):
-        counts = [(letter, word.count(letter)) for letter in set(word)]
-        coef = math.factorial(n) // math.prod(math.factorial(c) for _l, c in counts)
-        coef *= math.prod(coords[letter] ** c for letter, c in counts)
+    out = []
+    for i, (coef, counts) in enumerate(table):
+        for b, c in zip(beta, counts):
+            if c:
+                coef *= b**c
         if coef:
-            out[word] = coef
+            out.append((i, coef))
     return out
 
 
@@ -235,13 +272,10 @@ def psi_n_matrix(m, n):
         raise DimensionOverflow(f"dimensions {dim}x{dim} above cap")
     source = _monomials_upto(m, n)
     target = sym_words(m + 1, n)
-    tindex = {w: i for i, w in enumerate(target)}
     # (X-1)^alpha only reaches X^beta with beta <= alpha, so |beta| <= n:
     # one psi image per source monomial serves every column
-    images = {
-        beta: [(tindex[w], c) for w, c in _psi_on_group_element(m, n, beta).items()]
-        for beta in source
-    }
+    table = _multinomial_table(m, n)
+    images = {beta: _psi_on_group_element(table, beta) for beta in source}
     cols = []
     for alpha in source:
         # Y^alpha = prod (X_i - 1)^{alpha_i} expanded into group elements
@@ -283,7 +317,7 @@ def _y_monomial_as_group_sum(alpha):
 
 def alpha_scale(n, k):
     """The correction homothety n!/(n-k)! on the grade-k factor."""
-    return Fraction(math.factorial(n), math.factorial(n - k))
+    return math.perm(n, k)
 
 
 def _graded_basis(h_dim, up_to):
@@ -295,14 +329,14 @@ def _graded_basis(h_dim, up_to):
 
 
 def _epsilon(letter):
-    return Fraction(1) if letter == 0 else Fraction(0)
+    return int(letter == 0)
 
 
 def _embed(word, level, correct):
     """psi_level (optionally theta_level) of a grade-k basis word."""
     k = len(word)
     full = (0,) * (level - k) + word
-    coef = alpha_scale(level, k) if correct else Fraction(1)
+    coef = alpha_scale(level, k) if correct else 1
     return SymElem(-1, level, {full: coef})  # dim unused for words over symbols
 
 

@@ -6,11 +6,15 @@ symmetric word of degree <= N over the lattice basis (the pro-object is
 truncated at N; products beyond N are silently dropped).  Coefficients
 live in the exact ring Q(i)[iota], iota being a formal symbol for 2*pi*i,
 so closedness and flatness are theorems here, not float residuals.
-Numeric evaluation substitutes iota = 2*pi*i only at the boundary to the
-current engine.
+Every rational here, character coordinates and coefficients alike, is a
+Python int where it is integral and a Fraction otherwise (`ratlin.exact`);
+Fraction(n) == n with equal hashes, so keys and values compare and hash
+the same either way.  Numeric evaluation substitutes iota = 2*pi*i only
+at the boundary to the current engine.
 """
 
 from fractions import Fraction
+import functools
 import math
 import random
 
@@ -19,14 +23,6 @@ from .errors import TruncationOverflow
 from .polarized import PolarizedAbelianData
 
 HARD_SYM_CAP = 12
-
-
-def _exact(x):
-    """An exact rational as a Python int when integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 class ExactScalar:
@@ -43,9 +39,17 @@ class ExactScalar:
         self.parts = {}
         if parts:
             for k, (re, im) in parts.items():
-                re, im = _exact(re), _exact(im)
+                re, im = ratlin.exact(re), ratlin.exact(im)
                 if re or im:
                     self.parts[int(k)] = (re, im)
+
+    @classmethod
+    def _of(cls, parts):
+        """From {int k: (re, im)} of ints and Fractions: the zero parts are
+        dropped, integral Fractions made ints."""
+        out = object.__new__(cls)
+        out.parts = {k: (ratlin.exact(re), ratlin.exact(im)) for k, (re, im) in parts.items() if re or im}
+        return out
 
     @classmethod
     def from_rational(cls, re, im=0, iota_power=0):
@@ -69,10 +73,12 @@ class ExactScalar:
         for k, (re, im) in other.parts.items():
             r0, i0 = out.get(k, (0, 0))
             out[k] = (r0 + re, i0 + im)
-        return ExactScalar(out)
+        return ExactScalar._of(out)
 
     def __neg__(self):
-        return ExactScalar({k: (-re, -im) for k, (re, im) in self.parts.items()})
+        out = object.__new__(ExactScalar)
+        out.parts = {k: (-re, -im) for k, (re, im) in self.parts.items()}
+        return out
 
     def __sub__(self, other):
         return self + (-other)
@@ -87,7 +93,11 @@ class ExactScalar:
                 re, im = a * c - b * d, a * d + b * c
                 r0, i0 = out.get(k, (0, 0))
                 out[k] = (r0 + re, i0 + im)
-        return ExactScalar(out)
+        return ExactScalar._of(out)
+
+    def times(self, q, shift=0):
+        """self * q * iota^shift for an exact rational q (int or Fraction)."""
+        return ExactScalar._of({k + shift: (re * q, im * q) for k, (re, im) in self.parts.items()})
 
     def numeric(self):
         """Substitute iota = 2*pi*i."""
@@ -117,6 +127,7 @@ def _coerce_scalar(x):
     raise TypeError(f"cannot coerce {x!r} into the exact coefficient ring")
 
 
+@functools.lru_cache(maxsize=4096)
 def _wedge_tuples(e1, e2):
     """dx^e1 ^ dx^e2 as (sorted indices, reordering sign); (None, 0) if an index repeats."""
     if set(e1) & set(e2):
@@ -169,12 +180,12 @@ class FourierForm:
     @classmethod
     def unit(cls, data, trunc):
         """The constant function 1 in Sym^0."""
-        char0 = (Fraction(0),) * data.rank
+        char0 = (0,) * data.rank
         return cls(data, trunc, {(char0, (), ()): ExactScalar.one()})
 
     @classmethod
     def character(cls, data, trunc, lam_dual):
-        char = tuple(ratlin.as_fraction(x) for x in lam_dual)
+        char = tuple(ratlin.exact(x) for x in lam_dual)
         return cls(data, trunc, {(char, (), ()): ExactScalar.one()})
 
     def copy_with(self, terms):
@@ -209,8 +220,8 @@ class FourierForm:
                 word = tuple(sorted(w1 + w2))
                 if len(word) > self.trunc:
                     continue  # pro-object truncation
-                char = tuple(x + y for x, y in zip(c1, c2))
-                out._accumulate((char, ext, word), a1 * a2 * sign)
+                char = tuple(ratlin.exact(x + y) for x, y in zip(c1, c2))
+                out._accumulate((char, ext, word), (a1 * a2).times(sign))
         return out
 
     def is_zero(self):
@@ -243,9 +254,7 @@ def exterior_d(f):
             p = sum(e * char[j] for j, e in col)
             if p == 0:
                 continue
-            out._accumulate(
-                (char, new_ext, word), coef * ExactScalar.from_rational(sign * p, 0, 1)
-            )
+            out._accumulate((char, new_ext, word), coef.times(sign * p, 1))
     return out
 
 
@@ -253,7 +262,7 @@ def nu_form(data, trunc):
     """nu = sum_i dx^i (x) e_i: the tautological vertical-projection 1-form."""
     if trunc < 1:
         raise TruncationOverflow("nu needs symmetric truncation >= 1")
-    char0 = (Fraction(0),) * data.rank
+    char0 = (0,) * data.rank
     terms = {(char0, (i,), (i,)): ExactScalar.one() for i in range(data.rank)}
     return FourierForm(data, trunc, terms)
 
@@ -278,7 +287,7 @@ def log_connection(f):
             new_word = tuple(sorted(word + (i,)))
             if len(new_word) > f.trunc:
                 continue
-            out._accumulate((char, new_ext, new_word), coef * wsign)
+            out._accumulate((char, new_ext, new_word), coef.times(wsign))
     return out
 
 
@@ -298,7 +307,7 @@ def contract(f, v):
 def polarization_form(data, trunc=0):
     """The 2-form Omega/2 with Omega(v, w) = <v, w> = iota * E(v, w)."""
     terms = {}
-    char0 = (Fraction(0),) * data.rank
+    char0 = (0,) * data.rank
     for i in range(data.rank):
         for j in range(i + 1, data.rank):
             if data.E[i][j]:
@@ -368,7 +377,7 @@ def random_form(rng, data, trunc, nterms=5):
     f = FourierForm(data, trunc)
     n = data.rank
     for _ in range(nterms):
-        char = tuple(Fraction(rng.randrange(-2, 3)) for _ in range(n))
+        char = tuple(rng.randrange(-2, 3) for _ in range(n))
         ext = tuple(sorted(rng.sample(range(n), rng.randrange(0, n + 1))))
         word = tuple(sorted(rng.choices(range(n), k=rng.randrange(0, trunc))))
         coef = ExactScalar.from_rational(

@@ -492,3 +492,25 @@ def test_current_value_container():
     assert cv.component((0,)) == 1.5 + 0j
     assert cv.component((1,)) == 0j
     assert cv.norm() == 1.5
+
+
+def test_dual_frame_is_built_once_per_datum(monkeypatch):
+    calls = []
+    build = SumLattice.from_abelian.__func__
+
+    def counted(cls, data, side="dual"):
+        calls.append(side)
+        return build(cls, data, side)
+
+    monkeypatch.setattr(SumLattice, "from_abelian", classmethod(counted))
+    data = PolarizedAbelianData.from_tau(0, 1)
+    values = g_total(data, (0.31, 0.47), 4)
+    with pytest.raises(ZeroSectionSingularity):
+        g_grade(data, (0.0, 0.0), 2)
+    assert calls == ["dual"]
+    assert currents._dual_frame(data, (0.31, 0.47)) is data.dual_frame
+    # the kept frame gives, bit for bit, what a fresh frame per grade gives
+    for n, value in values.items():
+        fresh = g_grade(PolarizedAbelianData.from_tau(0, 1), (0.31, 0.47), n)
+        assert fresh.components == value.components and fresh.error_bound == value.error_bound
+    assert calls == ["dual"] * 4

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from polylat import ratlin, symalg
 from polylat.errors import DimensionOverflow
-from polylat.ratlin import rank
+from polylat.ratlin import RANK_PRIME, rank
 from polylat.symalg import (
     GroupAlgElem,
     _monomials_upto,
@@ -138,6 +139,47 @@ def test_rank_matches_fraction_gauss_jordan(rational):
     assert rank([[0, 0], [0, 0]]) == 0
 
 
+def test_rank_certificate_and_its_exact_fallback():
+    p = RANK_PRIME
+    # singular mod p, rank 2 over Q: the full-rank certificate fails and
+    # the exact fallback must find the rank
+    assert ratlin._rank_mod_p([[p, 0], [0, 1]]) == 1
+    assert rank([[p, 0], [0, 1]]) == 2
+    assert rank([[Fraction(p, 3), 0], [0, Fraction(1, 7)]]) == 2
+    assert rank([[p, 0, 0], [0, 1, 0], [0, 0, 0]]) == 2
+    # rank-deficient int and rational matrices, settled by the fallback
+    assert rank([[p, 2 * p], [1, 2]]) == 1
+    assert rank([[1, 2], [p + 1, 2 * p + 2]]) == 1
+    assert rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+    assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
+    assert rank([[Fraction(1, 3), 0, 1], [0, Fraction(2, 5), 0], [Fraction(2, 3), Fraction(4, 5), 2]]) == 2
+
+
+def test_psi_with_one_entry_changed_is_not_bijective(monkeypatch):
+    expand = symalg._y_monomial_as_group_sum
+    mat, *_, bij = psi_n_matrix(4, 3)
+    assert bij and mat[0][0] == 1 and not any(row[0] for row in mat[1:])
+    # Y^0 = X^0 feeds only column 0, whose one nonzero entry is mat[0][0]:
+    # dropping it turns exactly that entry to 0 and column 0 to zero
+    monkeypatch.setattr(symalg, "_y_monomial_as_group_sum", lambda a: expand(a) if any(a) else iter(()))
+    changed, *_, bij = psi_n_matrix(4, 3)
+    diff = [(i, j) for i, row in enumerate(mat) for j, x in enumerate(row) if changed[i][j] != x]
+    assert diff == [(0, 0)]
+    assert not bij
+
+
+def test_psi_bijectivity_takes_the_mod_p_certificate(monkeypatch):
+    # a lost fast path shows here as an error, not as a slower run
+    def bareiss(_m):
+        raise AssertionError("psi rank fell back to Bareiss elimination")
+
+    monkeypatch.setattr(ratlin, "_bareiss_rank", bareiss)
+    for m in (2, 4):
+        for n in range(5):
+            *_, bij = psi_n_matrix(m, n)
+            assert bij, (m, n)
+
+
 def test_psi_dimension_cap():
     with pytest.raises(DimensionOverflow):
         psi_n_matrix(8, 8)
@@ -154,6 +196,40 @@ def test_gamma_random(m):
     rng = random.Random(13)
     els = [tuple(rng.randrange(-5, 6) for _ in range(m)) for _ in range(50)]
     assert all(gamma_vs_delta(m, els))
+
+
+def _fraction_product(x, y, n):
+    """Reference product of two coefficient dicts of Q[Z^m]/a^n, in Fractions."""
+    out = {}
+    for a1, c1 in x.items():
+        for a2, c2 in y.items():
+            a = tuple(i + j for i, j in zip(a1, a2))
+            if sum(a) < n:
+                out[a] = out.get(a, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {a: c for a, c in out.items() if c}
+
+
+def test_group_algebra_int_coefficients_match_fractions():
+    rng = random.Random(23)
+    for _ in range(200):
+        m, n = rng.randrange(1, 4), rng.randrange(1, 5)
+
+        def coeffs():
+            return {
+                tuple(rng.randrange(0, n) for _ in range(m)): Fraction(rng.randrange(-4, 5), rng.choice([1, 1, 2, 3]))
+                for _ in range(rng.randrange(0, 5))
+            }
+
+        cx, cy = coeffs(), coeffs()
+        x, y = GroupAlgElem(m, n, cx), GroupAlgElem(m, n, cy)
+        want = _fraction_product(cx, cy, n)
+        got = (x * y).coeffs
+        assert got == want
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in got.values())
+        assert (x + y - y) == x
+    g = GroupAlgElem.group_element(3, 4, (2, -3, 1))
+    assert all(type(c) is int for c in g.coeffs.values())
+    assert g * GroupAlgElem.group_element(3, 4, (-2, 3, -1)) == GroupAlgElem.one(3, 4)
 
 
 def test_contraction_unit_word_fixed_point():

@@ -72,6 +72,35 @@ def test_flatness_randomized(tau_i, rank4):
         assert log_connection(log_connection(f)).is_zero()
 
 
+def test_rational_character_is_flat(tau_i, rank4):
+    for data, lam in ((tau_i, (Fraction(1, 2), Fraction(-1, 3))), (rank4, (Fraction(1, 2), 0, Fraction(-1, 3), 2))):
+        chi = FourierForm.character(data, 3, lam)
+        assert not exterior_d(chi).is_zero()
+        assert exterior_d(exterior_d(chi)).is_zero()
+        assert not log_connection(chi).is_zero()
+        assert log_connection(log_connection(chi)).is_zero()
+        # a product with forms of integral characters keeps the rational one
+        f = chi.wedge(nu_form(data, 3)).wedge(FourierForm.character(data, 3, (1,) * data.rank))
+        assert log_connection(log_connection(f)).is_zero()
+
+
+def test_int_and_fraction_character_keys_agree(tau_i):
+    int_key, frac_key = ((1, 0), (1,), ()), ((Fraction(1), Fraction(0)), (1,), ())
+    assert int_key == frac_key and hash(int_key) == hash(frac_key)
+    chi = FourierForm.character(tau_i, 3, [1, 0])
+    assert all(type(x) is int for x in next(iter(chi.terms))[0])
+    assert chi == FourierForm(tau_i, 3, {((Fraction(1), Fraction(0)), (), ()): ExactScalar.one()})
+    assert chi == FourierForm.character(tau_i, 3, ["1", Fraction(0)])
+    d = exterior_d(chi)
+    assert d.terms[frac_key] == d.terms[int_key]
+    # a form built on Fraction keys accumulates onto the int ones
+    mixed = d + FourierForm(tau_i, 3, {frac_key: ExactScalar.from_rational(1, 0, 1)})
+    assert mixed.is_zero()
+    half = FourierForm.character(tau_i, 3, [Fraction(1, 2), 0])
+    assert next(iter(half.wedge(half).terms))[0] == (1, 0)
+    assert all(type(x) is int for x in next(iter(half.wedge(half).terms))[0])
+
+
 def test_graded_leibniz(tau_i, rank4):
     rng = random.Random(5)
     for i in range(60):
