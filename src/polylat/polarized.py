@@ -164,8 +164,8 @@ class PolarizedAbelianData:
     @cached_property
     def dual_frame(self):
         """lattice.SumLattice.from_abelian(self, "dual"): the frame of every
-        current and Eisenstein sum, built on first use and kept while this
-        datum lives."""
+        current and Eisenstein sum and of the suite's dual-frame checks,
+        built on first use and kept while this datum lives."""
         from .lattice import SumLattice
 
         return SumLattice.from_abelian(self, side="dual")

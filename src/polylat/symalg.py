@@ -158,22 +158,14 @@ class SymElem:
                     self.coeffs[w] = self.coeffs.get(w, 0) + c
             self.coeffs = {w: c for w, c in self.coeffs.items() if c != 0}
 
-    @classmethod
-    def _of(cls, dim, degree, coeffs):
-        """From coefficients on sorted words of length degree: drops the zeros."""
-        out = object.__new__(cls)
-        out.dim, out.degree = dim, degree
-        out.coeffs = {w: c for w, c in coeffs.items() if c != 0}
-        return out
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
             out[w] = out.get(w, 0) + c
-        return SymElem._of(self.dim, self.degree, out)
+        return SymElem(self.dim, self.degree, out)
 
     def scale(self, c):
-        return SymElem._of(self.dim, self.degree, {w: v * c for w, v in self.coeffs.items()})
+        return SymElem(self.dim, self.degree, {w: v * c for w, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return (
@@ -220,7 +212,7 @@ def c_n_contraction(chi, elem):
     for word, coef in elem.coeffs.items():
         for rest, w in contract_word(chi, word).items():
             out[rest] = out.get(rest, 0) + coef * w
-    return SymElem._of(elem.dim, elem.degree - 1, out)
+    return SymElem(elem.dim, elem.degree - 1, out)
 
 
 # ---------------------------------------------------------------------------

@@ -44,14 +44,6 @@ class ExactScalar:
                     self.parts[int(k)] = (re, im)
 
     @classmethod
-    def _of(cls, parts):
-        """From {int k: (re, im)} of ints and Fractions: the zero parts are
-        dropped, integral Fractions made ints."""
-        out = object.__new__(cls)
-        out.parts = {k: (ratlin.exact(re), ratlin.exact(im)) for k, (re, im) in parts.items() if re or im}
-        return out
-
-    @classmethod
     def from_rational(cls, re, im=0, iota_power=0):
         return cls({iota_power: (re, im)})
 
@@ -73,12 +65,10 @@ class ExactScalar:
         for k, (re, im) in other.parts.items():
             r0, i0 = out.get(k, (0, 0))
             out[k] = (r0 + re, i0 + im)
-        return ExactScalar._of(out)
+        return ExactScalar(out)
 
     def __neg__(self):
-        out = object.__new__(ExactScalar)
-        out.parts = {k: (-re, -im) for k, (re, im) in self.parts.items()}
-        return out
+        return ExactScalar({k: (-re, -im) for k, (re, im) in self.parts.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -93,11 +83,11 @@ class ExactScalar:
                 re, im = a * c - b * d, a * d + b * c
                 r0, i0 = out.get(k, (0, 0))
                 out[k] = (r0 + re, i0 + im)
-        return ExactScalar._of(out)
+        return ExactScalar(out)
 
     def times(self, q, shift=0):
         """self * q * iota^shift for an exact rational q (int or Fraction)."""
-        return ExactScalar._of({k + shift: (re * q, im * q) for k, (re, im) in self.parts.items()})
+        return ExactScalar({k + shift: (re * q, im * q) for k, (re, im) in self.parts.items()})
 
     def numeric(self):
         """Substitute iota = 2*pi*i."""
@@ -127,7 +117,7 @@ def _coerce_scalar(x):
     raise TypeError(f"cannot coerce {x!r} into the exact coefficient ring")
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=4**6)  # every pair of index sets up to rank 6
 def _wedge_tuples(e1, e2):
     """dx^e1 ^ dx^e2 as (sorted indices, reordering sign); (None, 0) if an index repeats."""
     if set(e1) & set(e2):

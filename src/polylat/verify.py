@@ -96,7 +96,7 @@ def check_theta_transform(seed=0, n_configs=20, tol=1e-13):
     for i in range(n_configs):
         rank = 2 if i % 2 == 0 else 4
         data = random_abelian_data(rng, rank)
-        frame = SumLattice.from_abelian(data, side="dual")
+        frame = data.dual_frame
         t = 0.2 + 4.8 * rng.random()
         u = [rng.randrange(0, 8) / 8 + rng.random() / 64 for _ in range(rank)]
         P = VectorPolynomial.constant(1.0, rank)
@@ -131,7 +131,7 @@ def check_theta_jacobi():
 def check_poisson(data):
     """|direct - transformed| of the theta sum at t = 1 on the dual frame of
     data, each side certified to 1e-12: P = 1 at h = 0, P = x_1^2 at h = (1/3, 0, ...)."""
-    frame = SumLattice.from_abelian(data, "dual")
+    frame = data.dual_frame
     rank = data.rank
     cases = (
         (VectorPolynomial.constant(1.0, rank), [0.0] * rank),
@@ -170,7 +170,7 @@ def check_zeta_regimes(full=False):
 def check_zeta_a_independence(seed=1, n_points=5):
     rng = random.Random(seed)
     data = PolarizedAbelianData.from_tau(0, 1)
-    frame = SumLattice.from_abelian(data, "dual")
+    frame = data.dual_frame
     P = VectorPolynomial.constant(1.0, 2)
     worst = 0.0
     for _ in range(n_points):
@@ -189,7 +189,7 @@ def check_zeta_a_independence(seed=1, n_points=5):
 def check_zeta_entirety():
     """Cauchy reconstruction of Gamma(s)K(s) on a circle: entire for u off the lattice."""
     data = PolarizedAbelianData.from_tau(0, 1)
-    frame = SumLattice.from_abelian(data, "dual")
+    frame = data.dual_frame
     P = VectorPolynomial.constant(1.0, 2)
     center = complex(1.2, 0.3)
     radius = 0.5
@@ -206,7 +206,7 @@ def check_zeta_entirety():
 
 def check_smoothness(grid_n=4):
     data = PolarizedAbelianData.from_tau(0, 1)
-    frame = SumLattice.from_abelian(data, "dual")
+    frame = data.dual_frame
     P = VectorPolynomial(2, {(2, 0): [1.0], (1, 1): [0.5], (0, 2): [1.0]})
     grid = [
         ((i + 0.5) / grid_n, (j + 0.5) / grid_n)

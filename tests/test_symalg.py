@@ -232,6 +232,14 @@ def test_group_algebra_int_coefficients_match_fractions():
     assert g * GroupAlgElem.group_element(3, 4, (-2, 3, -1)) == GroupAlgElem.one(3, 4)
 
 
+def test_sym_elem_sum_checks_degrees():
+    x = SymElem(2, 2, {(1, 0): 1, (0, 1): Fraction(1, 2)})
+    assert x.coeffs == {(0, 1): Fraction(3, 2)}
+    assert (x + x.scale(-1)).coeffs == {}
+    with pytest.raises(ValueError, match="wrong degree"):
+        x + SymElem(2, 1, {(0,): 1})
+
+
 def test_contraction_unit_word_fixed_point():
     eps = lambda i: Fraction(1) if i == 0 else Fraction(0)
     for n in (1, 2, 5):
